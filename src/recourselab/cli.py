@@ -22,7 +22,8 @@ from .geometry import GeometryError, check_assumptions, enumerate_dual_vertices,
 from .lp import LpInputError, LpNumericalError
 from .measures import MeasureError, check_a3_a4
 from .problem_io import ProblemFormatError, dump_json, load_problem, plans_from_json
-from .risk import RiskError, eval_q, grad_q, make_objective
+# unused eval_q, grad_q: perfbench/spans.py traces the CLI's risk calls by these names
+from .risk import RiskError, eval_q, grad_q, make_objective  # noqa: F401
 from .rng import validate_seed
 from .solver import SolveOptions, SolverError, solve_two_stage
 from .stability import (StabilityError, StabilityOptions, estimate_holder_exponent,
@@ -149,8 +150,8 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     bundle, fan = _load(args)
     x = np.array(_float_list(args.x))
-    value = eval_q(fan, bundle.measure, bundle.risk, x, args.resolution)
-    grad = grad_q(fan, bundle.measure, bundle.risk, x, args.resolution)
+    value, grad = make_objective(fan, bundle.measure, bundle.risk,
+                                 args.resolution).value_and_grad(x)
     _write_output(dump_json({"x": x.tolist(), "value": value, "grad": grad.tolist()}), args.out)
     return EXIT_OK
 

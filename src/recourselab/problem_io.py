@@ -136,5 +136,6 @@ def plans_from_json(raw) -> list[PerturbationPlan]:
 
 
 def dump_json(obj: dict) -> str:
-    """Canonical JSON rendering: sorted keys, stable float repr, newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
+    """Canonical RFC 8259 JSON: sorted keys, stable float repr, newline. A
+    non-finite number raises instead of being written as Infinity or NaN."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -9,8 +9,11 @@ g = constant target (expected excess), g = the expectation itself
 vertices); the gradient-difference representation is also computed by a
 second, set-difference route so the two can cross-check each other.
 
-One-dimensional box measures are integrated in closed form; everything
-else goes through atoms (native or midpoint-discretized).
+Every evaluation is one pass against g, `cell_measures`: the integral of
+max(g, phi) and the cell masses come from one atom-by-vertex score array,
+so a semideviation value and gradient take two passes, the first for its
+g. One-dimensional box measures are integrated in closed form; other
+boxes become a midpoint grid, once per objective.
 """
 
 from __future__ import annotations
@@ -67,8 +70,10 @@ class RiskSpec:
 @dataclass(frozen=True)
 class CellDecomposition:
     """Measure mass per linearity cell at a fixed first-stage point:
-    pi0 where g dominates, pi[i] on the cone of dual vertex i."""
+    pi0 where g dominates, pi[i] on the cone of dual vertex i; value is
+    the integral of max(g, phi(z - x)) over these cells."""
 
+    value: float
     pi0: float
     pi: np.ndarray
     tie_atoms: int = 0
@@ -104,26 +109,6 @@ def _require_fan(fan: DualVertexFan):
         raise RiskError("fan has no vertices: recourse value is unbounded (A2 violated)")
 
 
-def _g_value(fan, measure, spec: RiskSpec, x: np.ndarray, resolution) -> float:
-    if spec.kind == EXPECTATION:
-        return -np.inf
-    if spec.kind == EXPECTED_EXCESS:
-        return float(spec.eta)
-    return eval_q(fan, measure, RiskSpec.expectation(), x, resolution)
-
-
-def _g_value_and_grad(fan, measure, spec: RiskSpec, x: np.ndarray, resolution):
-    """The comparison function g at x: value and gradient."""
-    s = fan.s
-    if spec.kind == EXPECTATION:
-        return -np.inf, np.zeros(s)
-    if spec.kind == EXPECTED_EXCESS:
-        return float(spec.eta), np.zeros(s)
-    exp_spec = RiskSpec.expectation()
-    return (eval_q(fan, measure, exp_spec, x, resolution),
-            grad_q(fan, measure, exp_spec, x, resolution))
-
-
 def _atoms_of(measure: Measure, resolution) -> DiscreteMeasure:
     if isinstance(measure, DiscreteMeasure):
         return measure
@@ -132,21 +117,39 @@ def _atoms_of(measure: Measure, resolution) -> DiscreteMeasure:
     return discretize(measure, int(resolution))
 
 
+def _quadrature(measure: Measure, resolution) -> Measure:
+    """What the pass integrates against: the 1-D box itself (closed form),
+    otherwise atoms."""
+    if isinstance(measure, BoxDensityMeasure) and measure.s == 1:
+        return measure
+    return _atoms_of(measure, resolution)
+
+
+def _g_value_and_grad(fan, quad: Measure, spec: RiskSpec, x: np.ndarray):
+    """The comparison function g at x: value and gradient."""
+    if spec.kind == EXPECTATION:
+        return -np.inf, np.zeros(fan.s)
+    if spec.kind == EXPECTED_EXCESS:
+        return float(spec.eta), np.zeros(fan.s)
+    return _value_and_grad(fan, quad, RiskSpec.expectation(), x)
+
+
+def _value_and_grad(fan, quad: Measure, spec: RiskSpec, x: np.ndarray):
+    gval, ggrad = _g_value_and_grad(fan, quad, spec, x)
+    cells = cell_measures(fan, quad, (gval, ggrad), x)
+    return cells.value, cells.pi0 * ggrad - cells.pi @ fan.vertices
+
+
 def eval_q(fan: DualVertexFan, measure: Measure, spec: RiskSpec, x, resolution=None) -> float:
     """Value of the risk functional at transformed first-stage point x."""
-    _require_fan(fan)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     _warn_if_a5_risky(fan, spec)
-    gval = _g_value(fan, measure, spec, x, resolution)
-    return _expect_max(fan, measure, x, gval, resolution)
+    return _value_and_grad(fan, _quadrature(measure, resolution), spec, x)[0]
 
 
-def _expect_max(fan, measure, x, gval, resolution) -> float:
-    if isinstance(measure, BoxDensityMeasure) and measure.s == 1:
-        return _box1d_integral(fan, measure, float(x[0]), gval)
-    dm = _atoms_of(measure, resolution)
-    vals = np.maximum(gval, phi_many(fan, dm.atoms - x))
-    return stable_dot(dm.weights, vals)
+def grad_q(fan: DualVertexFan, measure: Measure, spec: RiskSpec, x, resolution=None) -> np.ndarray:
+    """Gradient of the risk functional from its cell decomposition; at a
+    kink this is the tie-broken selection."""
+    return _value_and_grad(fan, _quadrature(measure, resolution), spec, x)[1]
 
 
 def _warn_if_a5_risky(fan, spec):
@@ -158,10 +161,62 @@ def _warn_if_a5_risky(fan, spec):
                 RuntimeWarning, stacklevel=3)
 
 
-# --- closed-form 1-D path -----------------------------------------------------
+# --- the pass: value and cell masses ------------------------------------------
 
 
-def _box1d_breaks(fan, lo, hi, x, gval) -> np.ndarray:
+def cell_measures(fan: DualVertexFan, measure: Measure, g_value_and_grad, x,
+                  resolution=None) -> CellDecomposition:
+    """Value and mass of the g-dominated region and of each cone cell at x.
+
+    g_value_and_grad is the pair (g(x), g'(x)). Atoms on cell boundaries
+    go to the lowest cone index; atoms with g(x) = phi exactly go to the
+    cone side (the g-region is a strict inequality).
+    """
+    _require_fan(fan)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    gval = float(g_value_and_grad[0])
+    quad = _quadrature(measure, resolution)
+    if isinstance(quad, BoxDensityMeasure):
+        return _box1d_pass(fan, quad, float(x[0]), gval)
+    return _atom_pass(fan, quad, x, gval)
+
+
+def _scores(fan, dm: DiscreteMeasure, x):
+    """The scores (z_k - x).d_i, vertex column first, and their maxima
+    phi(z_k - x), taken column by column: a max along the short vertex
+    axis of every atom costs far more. Leading axes of x give leading
+    axes of the result."""
+    columns = np.moveaxis((dm.atoms - x[..., None, :]) @ fan.vertices.T, -1, 0)
+    phis = columns[0].copy()
+    for col in columns[1:]:
+        np.maximum(phis, col, out=phis)
+    return columns, phis
+
+
+def _atom_pass(fan, dm: DiscreteMeasure, x, gval: float) -> CellDecomposition:
+    """The value stable_dot(w, max(gval, phi)) and the cells: an atom's
+    cone is the lowest vertex whose score is within CELL_TIE_TOL of phi."""
+    columns, phis = _scores(fan, dm, x)
+    floor = phis - CELL_TIE_TOL * (np.abs(phis) + 1.0)
+    cone = np.empty(dm.n_atoms, dtype=np.intp)
+    n_active = np.zeros(dm.n_atoms, dtype=np.intp)
+    for i in range(fan.n_vertices - 1, -1, -1):  # the lowest active index is written last
+        active = columns[i] >= floor
+        np.copyto(cone, i, where=active)
+        n_active += active
+    in_g = gval > phis
+    pi = np.bincount(cone, weights=np.where(in_g, 0.0, dm.weights), minlength=fan.n_vertices)
+    return CellDecomposition(stable_dot(dm.weights, np.maximum(gval, phis)),
+                             float(dm.weights[in_g].sum()), pi,
+                             tie_atoms=int(np.count_nonzero(n_active > 1)))
+
+
+def _box1d_pass(fan, bm: BoxDensityMeasure, x: float, gval: float) -> CellDecomposition:
+    """Exact value and cell masses for the 1-D uniform density: the
+    integrand max(gval, phi(z - x)) is piecewise linear with kinks only at
+    x and at the crossings with gval, so trapezoids between breakpoints are
+    exact and each piece lies in a single cell."""
+    lo, hi = float(bm.lo[0]), float(bm.hi[0])
     pts = {lo, hi, min(max(x, lo), hi)}
     if np.isfinite(gval):
         for d in fan.vertices[:, 0]:
@@ -169,24 +224,9 @@ def _box1d_breaks(fan, lo, hi, x, gval) -> np.ndarray:
                 z = x + gval / d
                 if lo < z < hi:
                     pts.add(z)
-    return np.array(sorted(pts))
-
-
-def _box1d_integral(fan, bm: BoxDensityMeasure, x: float, gval: float) -> float:
-    """Exact integral of max(gval, phi(z - x)) against the uniform density:
-    the integrand is piecewise linear with kinks only at x and at the
-    crossings with gval, so trapezoids between breakpoints are exact."""
-    lo, hi = float(bm.lo[0]), float(bm.hi[0])
-    breaks = _box1d_breaks(fan, lo, hi, x, gval)
+    breaks = np.array(sorted(pts))
     f = np.maximum(gval, phi_many(fan, (breaks - x).reshape(-1, 1)))
     pieces = 0.5 * (f[1:] + f[:-1]) * np.diff(breaks)
-    return math.fsum(pieces.tolist()) / (hi - lo)
-
-
-def _box1d_cells(fan, bm: BoxDensityMeasure, x: float, gval: float) -> CellDecomposition:
-    """Exact cell masses for the 1-D uniform density."""
-    lo, hi = float(bm.lo[0]), float(bm.hi[0])
-    breaks = _box1d_breaks(fan, lo, hi, x, gval)
     pi0 = 0.0
     pi = np.zeros(fan.n_vertices)
     for a, b in zip(breaks[:-1], breaks[1:]):
@@ -199,47 +239,7 @@ def _box1d_cells(fan, bm: BoxDensityMeasure, x: float, gval: float) -> CellDecom
             vals = fan.vertices[:, 0] * (mid - x)
             i = int(np.flatnonzero(vals >= pval - CELL_TIE_TOL * (abs(pval) + 1.0))[0])
             pi[i] += length
-    return CellDecomposition(pi0, pi)
-
-
-# --- cell masses and gradients ------------------------------------------------
-
-
-def cell_measures(fan: DualVertexFan, measure: Measure, g_value_and_grad, x,
-                  resolution=None) -> CellDecomposition:
-    """Mass of the g-dominated region and of each cone cell at x.
-
-    g_value_and_grad is the pair (g(x), g'(x)). Atoms on cell boundaries
-    go to the lowest cone index; atoms with g(x) = phi exactly go to the
-    cone side (the g-region is a strict inequality).
-    """
-    _require_fan(fan)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    gval = float(g_value_and_grad[0])
-    if isinstance(measure, BoxDensityMeasure) and measure.s == 1:
-        return _box1d_cells(fan, measure, float(x[0]), gval)
-    dm = _atoms_of(measure, resolution)
-    vals = (dm.atoms - x) @ fan.vertices.T  # (K, N)
-    pvals = vals.max(axis=1)
-    in_g = gval > pvals
-    tol = CELL_TIE_TOL * (np.abs(pvals) + 1.0)
-    active = vals >= (pvals - tol)[:, None]
-    cone = np.argmax(active, axis=1)  # lowest active index
-    ties = int(np.count_nonzero(active.sum(axis=1) > 1))
-    pi0 = float(dm.weights[in_g].sum())
-    pi = np.zeros(fan.n_vertices)
-    np.add.at(pi, cone[~in_g], dm.weights[~in_g])
-    return CellDecomposition(pi0, pi, tie_atoms=ties)
-
-
-def grad_q(fan: DualVertexFan, measure: Measure, spec: RiskSpec, x, resolution=None) -> np.ndarray:
-    """Gradient of the risk functional from its cell decomposition; at a
-    kink this is the tie-broken selection."""
-    _require_fan(fan)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    gval, ggrad = _g_value_and_grad(fan, measure, spec, x, resolution)
-    cells = cell_measures(fan, measure, (gval, ggrad), x, resolution)
-    return cells.pi0 * ggrad - cells.pi @ fan.vertices
+    return CellDecomposition(math.fsum(pieces.tolist()) / (hi - lo), pi0, pi)
 
 
 def breakpoint_profile(fan: DualVertexFan, measure: Measure, spec: RiskSpec, x, u,
@@ -247,8 +247,9 @@ def breakpoint_profile(fan: DualVertexFan, measure: Measure, spec: RiskSpec, x, 
     """The discrete value/mass profile used by the gradient formula at (x, u)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    gval, ggrad = _g_value_and_grad(fan, measure, spec, x, resolution)
-    cells = cell_measures(fan, measure, (gval, ggrad), x, resolution)
+    quad = _quadrature(measure, resolution)
+    gval, ggrad = _g_value_and_grad(fan, quad, spec, x)
+    cells = cell_measures(fan, quad, (gval, ggrad), x)
     return BreakpointProfile(
         y0=float(ggrad @ u),
         yi=-(fan.vertices @ u),
@@ -280,11 +281,10 @@ def representation_rhs(fan: DualVertexFan, measure: Measure, spec: RiskSpec, x, 
     _require_fan(fan)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    dm = _atoms_of(measure, resolution)
-    gx, ggx = _g_value_and_grad(fan, dm if isinstance(measure, DiscreteMeasure) else measure,
-                                spec, x, resolution)
-    gxu, ggxu = _g_value_and_grad(fan, dm if isinstance(measure, DiscreteMeasure) else measure,
-                                  spec, x + u, resolution)
+    quad = _quadrature(measure, resolution)
+    dm = _atoms_of(quad, resolution)
+    gx, ggx = _g_value_and_grad(fan, quad, spec, x)
+    gxu, ggxu = _g_value_and_grad(fan, quad, spec, x + u)
 
     m0_x, member_x = _cell_membership(fan, dm, x, gx)
     m0_xu, member_xu = _cell_membership(fan, dm, x + u, gxu)
@@ -329,7 +329,11 @@ def _union_members(m0, member, y, tau):
 
 @dataclass
 class RiskObjective:
-    """Value/gradient closure over a fixed fan, measure and risk spec."""
+    """Value/gradient closure over a fixed fan, measure and risk spec.
+
+    A box measure in dimension >= 2 is replaced by its midpoint grid at
+    `resolution` once, on construction, so `measure` holds what every
+    evaluation integrates against."""
 
     fan: DualVertexFan
     measure: Measure
@@ -337,11 +341,19 @@ class RiskObjective:
     resolution: int | None = None
     domain: object = None  # optional RegionV limiting where the paths are trusted
 
+    def __post_init__(self):
+        self.measure = _quadrature(self.measure, self.resolution)
+
     def value(self, x) -> float:
-        return eval_q(self.fan, self.measure, self.spec, x, self.resolution)
+        return eval_q(self.fan, self.measure, self.spec, x)
 
     def grad(self, x) -> np.ndarray:
-        return grad_q(self.fan, self.measure, self.spec, x, self.resolution)
+        return grad_q(self.fan, self.measure, self.spec, x)
+
+    def value_and_grad(self, x) -> tuple[float, np.ndarray]:
+        """value(x) and grad(x) from the passes of one evaluation."""
+        _warn_if_a5_risky(self.fan, self.spec)
+        return _value_and_grad(self.fan, self.measure, self.spec, x)
 
 
 def make_objective(fan: DualVertexFan, measure: Measure, spec: RiskSpec,
@@ -350,29 +362,24 @@ def make_objective(fan: DualVertexFan, measure: Measure, spec: RiskSpec,
 
 
 def eval_q_many(fan: DualVertexFan, measure: Measure, spec: RiskSpec,
-                points: np.ndarray, resolution=None, chunk: int = 2048) -> np.ndarray:
-    """eval_q over many transformed points (P, s); used by the grid oracle."""
+                points: np.ndarray, resolution=None) -> np.ndarray:
+    """eval_q at each of many transformed points (P, s), bit for bit, over
+    one quadrature; used by the grid oracle. Atoms take the scores of a
+    chunk of points at once and need no cells, so the semideviation's
+    expectation comes from the same scores."""
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points.reshape(-1, 1)
-    if isinstance(measure, BoxDensityMeasure) and measure.s == 1:
-        return np.array([eval_q(fan, measure, spec, p, resolution) for p in points])
-    dm = _atoms_of(measure, resolution)
-    D = fan.vertices
-    Dz = dm.atoms @ D.T  # (K, N)
-    w = dm.weights
-    out = np.empty(points.shape[0])
-    if spec.kind == EXPECTATION:
-        gvals = np.full(points.shape[0], -np.inf)
-    elif spec.kind == EXPECTED_EXCESS:
-        gvals = np.full(points.shape[0], float(spec.eta))
-    else:
-        gvals = eval_q_many(fan, dm, RiskSpec.expectation(), points, resolution, chunk)
-    chunk = max(1, min(chunk, 2**22 // max(dm.n_atoms * fan.n_vertices, 1)))
+    quad = _quadrature(measure, resolution)
+    if isinstance(quad, BoxDensityMeasure):
+        return np.array([_value_and_grad(fan, quad, spec, p)[0] for p in points])
+    w = quad.weights
+    gval = float(spec.eta) if spec.kind == EXPECTED_EXCESS else -np.inf
+    out = []
+    chunk = max(1, 2**20 // (quad.n_atoms * fan.n_vertices))
     for start in range(0, points.shape[0], chunk):
-        P = points[start:start + chunk]
-        Dx = P @ D.T  # (p, N)
-        pv = np.max(Dz[None, :, :] - Dx[:, None, :], axis=2)  # (p, K)
-        np.maximum(pv, gvals[start:start + chunk, None], out=pv)
-        out[start:start + chunk] = pv @ w
-    return out
+        for phis in _scores(fan, quad, points[start:start + chunk])[1]:
+            if spec.kind == UPPER_SEMIDEVIATION:  # g is the expectation at this point
+                gval = stable_dot(w, phis)
+            out.append(stable_dot(w, np.maximum(gval, phis)))
+    return np.array(out)

@@ -7,6 +7,7 @@ its seed and parallel/serial execution orders agree.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
@@ -43,11 +44,10 @@ def map_indexed(fn: Callable[[int], T], n: int, threads: int = 1) -> list[T]:
 
 
 def stable_dot(w: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
-    """Order-stable weighted sum: exact fsum for small vectors, pairwise beyond."""
+    """Order-stable weighted sum: exact fsum up to 4096 terms, numpy's pairwise
+    summation beyond; neither uses BLAS, so any BLAS thread count agrees."""
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
     if w.size <= 4096:
-        import math
-
         return math.fsum((w * v).tolist())
-    return float(np.dot(w, v))
+    return float(np.add.reduce(w * v))

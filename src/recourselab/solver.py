@@ -18,8 +18,9 @@ import numpy as np
 from .geometry import DualVertexFan, RecourseData, enumerate_dual_vertices
 from .lp import EQ, GE, LE, LinearProgram, solve_lp
 from .measures import DiscreteMeasure, Measure
-from .risk import (EXPECTATION, EXPECTED_EXCESS, UPPER_SEMIDEVIATION, RiskSpec,
-                   eval_q, eval_q_many, grad_q)
+# unused eval_q, grad_q: perfbench/spans.py traces the solver's risk calls by these names
+from .risk import (EXPECTATION, EXPECTED_EXCESS, UPPER_SEMIDEVIATION, RiskSpec,  # noqa: F401
+                   eval_q, eval_q_many, grad_q, make_objective)
 
 FEAS_TOL = 1e-8
 
@@ -291,54 +292,54 @@ def _assert_feasible(fs: FirstStage, x: np.ndarray):
         raise SolverError("returned point violates the feasible set")
 
 
-def _objective_parts(p: TwoStageProblem, fan: DualVertexFan, options: SolveOptions):
+def _objective(p: TwoStageProblem, options: SolveOptions):
+    """The full objective's value and a subgradient at x, from one
+    evaluation of the risk term over a quadrature built once."""
     fs = p.first_stage
+    Q = make_objective(p.fan(), p.measure, p.risk, options.resolution)
 
-    def value(x):
+    def evaluate(x):
+        risk_value, risk_grad = Q.value_and_grad(fs.T @ x)
         quad = float(x @ fs.H @ x) if fs.has_quadratic else 0.0
-        return quad + float(fs.h @ x) + eval_q(fan, p.measure, p.risk, fs.T @ x,
-                                               options.resolution)
-
-    def subgrad(x):
         g = fs.h.copy()
         if fs.has_quadratic:
             g = g + 2.0 * (fs.H @ x)
-        return g + fs.T.T @ grad_q(fan, p.measure, p.risk, fs.T @ x, options.resolution)
+        return quad + float(fs.h @ x) + risk_value, g + fs.T.T @ risk_grad
 
-    return value, subgrad
+    return evaluate
 
 
 def _projected_subgradient(p: TwoStageProblem, x0: np.ndarray,
                            options: SolveOptions) -> ArgminResult:
     fs = p.first_stage
-    fan = p.fan()
-    value, subgrad = _objective_parts(p, fan, options)
+    evaluate = _objective(p, options)
     proj = PolyhedralProjector(fs.A_X, fs.b_X, x0)
     x = proj(x0)
-    best_x, best_val = x, value(x)
+    val, g = evaluate(x)
+    best_x, best_val, best_g = x, val, g
     cuts: list[tuple[float, np.ndarray, np.ndarray]] = []
     cert = np.inf
     iters = 0
     for k in range(options.max_iters):
         iters = k + 1
-        g = subgrad(x)
         x = proj(x - options.step_scale / (k + 1.0) * g)
-        val = value(x)
+        val, g = evaluate(x)
         if val < best_val:
-            best_val, best_x = val, x
+            best_val, best_x, best_g = val, x, g
         if options.kappa > 0 and (k + 1) % options.check_every == 0:
-            gb = subgrad(best_x)
-            cuts.append((best_val, gb, best_x))
-            cuts.append((val, subgrad(x), x))
+            cuts.append((best_val, best_g, best_x))
+            cuts.append((val, g, x))
             lower = max(
-                best_val - _quadratic_bound(best_x, gb, proj, options.kappa),
+                best_val - _quadratic_bound(best_x, best_g, proj, options.kappa),
                 _cutting_plane_lower_bound(fs, cuts),
             )
             cert = max(best_val - lower, 0.0)
             if cert <= options.tol:
                 break
+    # no certificate without a modulus, or before the first check
     result = ArgminResult(best_x, best_val, "subgradient",
-                          {"iterations": iters, "gap_certificate": float(cert)})
+                          {"iterations": iters,
+                           "gap_certificate": float(cert) if np.isfinite(cert) else None})
     if options.kappa > 0 and cert > options.tol:
         raise SolverError(
             f"subgradient certificate {cert:.2e} above tol after {iters} iterations",
@@ -454,28 +455,30 @@ def grid_search_oracle(p: TwoStageProblem, grid_step: float) -> ArgminResult:
     Only for one or two first-stage variables; intended as an independent
     check of the real solver paths, not as a solver.
     """
-    fs = p.first_stage
-    if fs.n > 2:
+    if p.first_stage.n > 2:
         raise SolverError("oracle dimension limit: n <= 2")
     if grid_step <= 0:
         raise SolverError("grid_step must be positive")
-    lo, hi, _ = feasible_box(fs)
-    axes = []
-    for j in range(fs.n):
-        count = int(np.floor((hi[j] - lo[j]) / grid_step + 1e-9)) + 1
-        axes.append(lo[j] + grid_step * np.arange(count))
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    if fs.b_X.size:
-        mask = np.all(pts @ fs.A_X.T <= fs.b_X + FEAS_TOL, axis=1)
-        pts = pts[mask]
+    pts, vals = _grid_values(p, grid_step)
     if pts.shape[0] == 0:
         raise SolverError("no feasible grid points")
-    fan = p.fan()
-    vals = eval_q_many(fan, p.measure, p.risk, pts @ fs.T.T)
-    vals = vals + pts @ fs.h
-    if fs.has_quadratic:
-        vals = vals + np.einsum("ij,jk,ik->i", pts, fs.H, pts)
     best = int(np.argmin(vals))
     return ArgminResult(pts[best], float(vals[best]), "grid-oracle",
                         {"grid_points": int(pts.shape[0]), "grid_step": grid_step})
+
+
+def _grid_values(p: TwoStageProblem, grid_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The feasible points of the grid_step lattice over X's bounding box,
+    and the full objective at each."""
+    fs = p.first_stage
+    lo, hi, _ = feasible_box(fs)
+    axes = [lo[j] + grid_step * np.arange(int(np.floor((hi[j] - lo[j]) / grid_step + 1e-9)) + 1)
+            for j in range(fs.n)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
+    if fs.b_X.size:
+        pts = pts[np.all(pts @ fs.A_X.T <= fs.b_X + FEAS_TOL, axis=1)]
+    vals = eval_q_many(p.fan(), p.measure, p.risk, pts @ fs.T.T) + pts @ fs.h
+    if fs.has_quadratic:
+        vals = vals + np.einsum("ij,jk,ik->i", pts, fs.H, pts)
+    return pts, vals

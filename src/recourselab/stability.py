@@ -18,7 +18,8 @@ import numpy as np
 
 from .measures import DiscreteMeasure, PerturbationPlan, RegionV, perturb, wasserstein1
 from .rng import substream
-from .solver import ArgminResult, SolveOptions, SolverError, TwoStageProblem, grid_search_oracle, solve_two_stage
+from .solver import (SolveOptions, SolverError, TwoStageProblem, _grid_values, grid_search_oracle,
+                     solve_two_stage)
 
 
 class StabilityError(ValueError):
@@ -120,29 +121,10 @@ def run_stability_experiment(p: TwoStageProblem, plans: list[PerturbationPlan],
 def _solution_set(p: TwoStageProblem, options: StabilityOptions):
     if options.argmin_sets == "oracle":
         res = grid_search_oracle(p, options.oracle_step)
-        pts = _oracle_level_set(p, res, options)
-        return pts, res.value
+        pts, vals = _grid_values(p, options.oracle_step)
+        return pts[vals <= res.value + options.oracle_value_tol], res.value
     res = solve_two_stage(p, options.solve)
     return res.x_star.reshape(1, -1), res.value
-
-
-def _oracle_level_set(p: TwoStageProblem, best: ArgminResult, options: StabilityOptions) -> np.ndarray:
-    from .risk import eval_q_many
-
-    fs = p.first_stage
-    from .solver import feasible_box
-
-    lo, hi, _ = feasible_box(fs)
-    axes = [lo[j] + options.oracle_step * np.arange(
-        int(np.floor((hi[j] - lo[j]) / options.oracle_step + 1e-9)) + 1) for j in range(fs.n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    if fs.b_X.size:
-        pts = pts[np.all(pts @ fs.A_X.T <= fs.b_X + 1e-8, axis=1)]
-    vals = eval_q_many(p.fan(), p.measure, p.risk, pts @ fs.T.T) + pts @ fs.h
-    if fs.has_quadratic:
-        vals = vals + np.einsum("ij,jk,ik->i", pts, fs.H, pts)
-    return pts[vals <= best.value + options.oracle_value_tol]
 
 
 def estimate_holder_exponent(records: list[StabilityRecord]) -> float:

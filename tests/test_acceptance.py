@@ -87,7 +87,7 @@ def test_criterion_01_duality_structure(bench):
 
 
 def _tie_free_point(fan, dm, spec, rng, lo, hi, margin=2e-3):
-    from recourselab.risk import _g_value
+    from recourselab.risk import _g_value_and_grad
 
     while True:
         x = rng.uniform(lo, hi, size=fan.s)
@@ -96,7 +96,7 @@ def _tie_free_point(fan, dm, spec, rng, lo, hi, margin=2e-3):
         order = np.sort(vals, axis=1)
         if fan.n_vertices > 1 and np.min(order[:, -1] - order[:, -2]) < margin:
             continue
-        gval = _g_value(fan, dm, spec, x, None)
+        gval = _g_value_and_grad(fan, dm, spec, x)[0]
         if np.isfinite(gval) and np.min(np.abs(order[:, -1] - gval)) < margin:
             continue
         return x

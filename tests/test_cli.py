@@ -185,3 +185,38 @@ def test_console_script_entry_point(bench_file):
                            "--problem", bench_file], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["vertices"]
+
+
+def test_eval_is_byte_identical_for_any_blas_thread_count(tmp_path):
+    # 90 000 atoms: sums over more than 4096 terms must not go through BLAS
+    import os
+    import subprocess
+    import sys
+
+    problem = {"recourse": {"W": [[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]], "q": [1.0] * 4},
+               "measure": {"type": "uniform_box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+               "risk": {"kind": "upper_semideviation"}}
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(problem))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "recourselab.cli", "eval", "--problem", str(path),
+                               "--resolution", "300", "--x", "0.3,0.6"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_uncertified_solve_writes_strict_json(bench_file, tmp_path):
+    # kappa = 0 on a box measure: the subgradient path computes no gap certificate
+    out = tmp_path / "solve.json"
+    assert main(["solve", "--problem", bench_file, "--max-iters", "100", "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"not RFC 8259 JSON: {token}")
+
+    payload = json.loads(out.read_text(), parse_constant=reject)
+    assert payload["path"] == "subgradient"
+    assert payload["log"]["gap_certificate"] is None

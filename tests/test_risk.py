@@ -101,13 +101,38 @@ class TestEvalQ:
                              + (1 - lam) * eval_q(fan_1d, measure, spec, b))
                     assert mid <= bound + 1e-9
 
-    def test_eval_q_many_matches_pointwise(self, fan_2d, nine_atoms, fan_1d):
+    def test_eval_q_many_matches_pointwise(self, fan_2d, box_2d):
+        # bit for bit: the grid oracle and the solvers must rank points alike
         mu = DiscreteMeasure([[0.2, 0.1], [0.7, 0.9], [0.4, 0.5]], [0.3, 0.3, 0.4])
-        pts = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.3]])
-        for spec in (E, EE(0.4), DP):
-            batch = eval_q_many(fan_2d, mu, spec, pts)
-            single = [eval_q(fan_2d, mu, spec, p) for p in pts]
-            assert batch == pytest.approx(single, abs=1e-12)
+        pts = np.random.default_rng(15).uniform(-0.2, 1.2, size=(200, 2))
+        for measure, resolution in ((mu, None), (box_2d, 30)):
+            for spec in (E, EE(0.4), DP):
+                batch = eval_q_many(fan_2d, measure, spec, pts, resolution)
+                single = [eval_q(fan_2d, measure, spec, p, resolution) for p in pts]
+                assert batch.tolist() == single
+
+
+def test_box_discretized_once_per_objective(monkeypatch, fan_2d, box_2d, rd_2d):
+    from recourselab import risk
+    from recourselab.solver import FirstStage, SolveOptions, TwoStageProblem, solve_two_stage
+
+    calls = []
+    original = risk.discretize
+    monkeypatch.setattr(risk, "discretize", lambda *a: calls.append(a) or original(*a))
+    Q = risk.make_objective(fan_2d, box_2d, DP, resolution=20)
+    for x in np.random.default_rng(16).uniform(0.2, 0.8, size=(10, 2)):
+        Q.value(x)
+        Q.grad(x)
+        Q.value_and_grad(x)
+    assert len(calls) == 1
+
+    calls.clear()
+    stage = FirstStage(T=np.eye(2), h=[0.1, -0.2], H=np.eye(2),
+                       A_X=np.vstack([np.eye(2), -np.eye(2)]), b_X=[0.8, 0.8, -0.2, -0.2])
+    res = solve_two_stage(TwoStageProblem(stage, rd_2d, box_2d, DP),
+                          SolveOptions(max_iters=30, resolution=20))
+    assert res.log["iterations"] == 30
+    assert len(calls) == 1
 
 
 class TestCellsAndGradient:
@@ -181,14 +206,14 @@ class TestCellsAndGradient:
 
 def _tie_free(fan, dm, spec, x, margin):
     """No atom near a cone boundary or near the g = phi switch at x."""
-    from recourselab.risk import _g_value
+    from recourselab.risk import _g_value_and_grad
 
     pts = dm.atoms - np.asarray(x)
     vals = pts @ fan.vertices.T
     order = np.sort(vals, axis=1)
     if np.min(order[:, -1] - order[:, -2]) < margin:
         return False
-    gval = _g_value(fan, dm, spec, np.asarray(x), None)
+    gval = _g_value_and_grad(fan, dm, spec, np.asarray(x))[0]
     if np.isfinite(gval) and np.min(np.abs(order[:, -1] - gval)) < margin:
         return False
     return True
