@@ -4,8 +4,8 @@ Two families: finitely supported measures and the uniform density on a
 box. Those are exactly the families for which the density lower bound
 needed by the certification region is checkable in closed form; anything
 fancier would make that check vacuous. Includes the L1 optimal-transport
-distance (dense LP over all atom pairs), box discretization, and seeded
-perturbation plans for the stability experiments.
+distance (exact, by a transportation simplex on a spanning-tree basis), box
+discretization, and seeded perturbation plans for the stability experiments.
 """
 
 from __future__ import annotations
@@ -15,11 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import EQ, LinearProgram, solve_lp
+# unused solve_lp: perfbench/spans.py traces the LP calls of this module by that name
+from .lp import LpNumericalError, solve_lp  # noqa: F401
 from .rng import substream
 
 WEIGHT_TOL = 1e-12
 MAX_ATOMS = 10**7
+# transportation simplex: pivots allowed per tree node, degenerate pivots in a
+# row before pricing turns from Dantzig to Bland, and the pricing tolerance
+# relative to the largest cost
+TRANSPORT_PIVOTS_PER_NODE = 100
+TRANSPORT_DEGENERATE_STREAK = 50
+TRANSPORT_OPT_TOL = 1e-12
 
 
 class MeasureError(ValueError):
@@ -133,26 +140,159 @@ class RegionV:
 def wasserstein1(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """L1 optimal transport cost between two finitely supported measures.
 
-    Dense formulation over all atom pairs; exact via the simplex kernel.
-    The argument pair is put in a canonical order first so the result is
-    bitwise symmetric.
+    Exact, by the transportation simplex over the K x L Euclidean cost
+    matrix (`_transport_simplex`). The argument pair is put in a canonical
+    order first so the result is bitwise symmetric.
     """
     if mu.s != nu.s:
         raise MeasureError(f"dimension mismatch: {mu.s} vs {nu.s}")
     if _measure_key(nu) < _measure_key(mu):
         mu, nu = nu, mu
-    K, L = mu.n_atoms, nu.n_atoms
-    cost = np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :], axis=2).reshape(-1)
-    A = np.zeros((K + L, K * L))
-    for k in range(K):
-        A[k, k * L:(k + 1) * L] = 1.0
-    for l in range(L):
-        A[K + l, l::L] = 1.0
-    b = np.concatenate([mu.weights, nu.weights])
-    out = solve_lp(LinearProgram.minimize(cost, A, [EQ] * (K + L), b))
-    if out.status != "optimal":  # pragma: no cover - marginals always match
-        raise MeasureError(f"transport LP terminated with status {out.status}")
-    return max(float(out.value), 0.0)
+    cost = np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :], axis=2)
+    return max(_transport_simplex(mu.weights, nu.weights, cost), 0.0)
+
+
+def _transport_simplex(a: np.ndarray, b: np.ndarray, C: np.ndarray) -> float:
+    """min sum(C * X) over X >= 0 with row sums a and column sums b.
+
+    The basis is a spanning tree over K row nodes (0..K-1) and L column
+    nodes (K..K+L-1), rooted at row 0; each tree edge is one basic cell,
+    stored at its child node. It starts from the northwest-corner
+    staircase. Potentials u, v satisfy u_i + v_j = C_ij on the tree. The
+    entering cell has the most negative reduced cost C - u - v (lowest flat
+    index on ties); the leaving cell is the minus cell of the tree cycle with
+    the least flow (lowest flat index on ties). After
+    TRANSPORT_DEGENERATE_STREAK zero-step pivots in a row, the entering cell
+    is the lowest-indexed improving one (Bland) until a pivot moves flow, so
+    the method cannot cycle. Optimality is confirmed on potentials
+    recomputed from the tree. The value is fsum of flow * cost over the
+    tree, which does not depend on the order of the cells.
+    """
+    K, L = C.shape
+    cost = C.tolist()
+    pred = [-1] * (K + L)
+    children: list[list[int]] = [[] for _ in range(K + L)]
+    eflow = [0.0] * (K + L)
+    ecell = [-1] * (K + L)
+
+    # northwest corner: a staircase of K+L-1 cells, each adding one node
+    ra, rb = a.tolist(), b.tolist()
+    i, j, child = 0, 0, K
+    while True:
+        x = min(ra[i], rb[j])
+        ra[i] -= x
+        rb[j] -= x
+        parent = i if child >= K else K + j
+        pred[child] = parent
+        children[parent].append(child)
+        eflow[child], ecell[child] = x, i * L + j
+        if i == K - 1 and j == L - 1:
+            break
+        if j == L - 1 or (i < K - 1 and ra[i] <= rb[j]):
+            i += 1
+            child = i
+        else:
+            j += 1
+            child = K + j
+
+    u, v, depth = _tree_potentials(cost, K, children)
+    fresh = True
+    tol = TRANSPORT_OPT_TOL * max(1.0, float(C.max()))
+    cap = TRANSPORT_PIVOTS_PER_NODE * (K + L)
+    pivots = streak = 0
+    while True:
+        reduced = (C - u[:, None] - v[None, :]).reshape(-1)
+        if streak < TRANSPORT_DEGENERATE_STREAK:
+            k = int(reduced.argmin())
+            improving = reduced[k] < -tol
+        else:
+            below = reduced < -tol
+            k = int(below.argmax())
+            improving = bool(below[k])
+        if not improving:
+            if fresh:
+                break
+            u, v, depth = _tree_potentials(cost, K, children)
+            fresh = True
+            continue
+        if pivots == cap:
+            raise LpNumericalError(f"transport simplex: iteration cap {cap} exceeded")
+        pivots += 1
+        fresh = False
+        r = float(reduced[k])
+        p, q = divmod(k, L)
+        q += K
+
+        # the cycle: tree paths from q and from p up to their common ancestor
+        side_q, side_p = [], []
+        hq, hp = q, p
+        while depth[hq] > depth[hp]:
+            side_q.append(hq)
+            hq = pred[hq]
+        while depth[hp] > depth[hq]:
+            side_p.append(hp)
+            hp = pred[hp]
+        while hq != hp:
+            side_q.append(hq)
+            hq = pred[hq]
+            side_p.append(hp)
+            hp = pred[hp]
+        # the entering cell adds theta to row p and column q, so on q's side the
+        # edges below a column node give theta up, on p's side those below a row
+        minus = [n for n in side_q if n >= K] + [n for n in side_p if n < K]
+        plus = [n for n in side_q if n < K] + [n for n in side_p if n >= K]
+        leave = min(minus, key=lambda n: (eflow[n], ecell[n]))
+        theta = eflow[leave]
+        if theta > 0.0:
+            streak = 0
+            for n in minus:
+                eflow[n] -= theta
+            for n in plus:
+                eflow[n] += theta
+        else:
+            streak += 1
+
+        # drop the leaving edge; the cut-off subtree holds s and hangs from t
+        s, t, side = (p, q, side_p) if leave in side_p else (q, p, side_q)
+        path = side[:side.index(leave) + 1]
+        children[pred[leave]].remove(leave)
+        for lo, hi in zip(reversed(path[:-1]), reversed(path[1:])):
+            children[hi].remove(lo)
+            children[lo].append(hi)
+            pred[hi] = lo
+            eflow[hi], ecell[hi] = eflow[lo], ecell[lo]
+        pred[s] = t
+        children[t].append(s)
+        eflow[s], ecell[s] = theta, k
+
+        # the subtree's potentials move so that the entering cell prices to 0
+        shift = r if s < K else -r
+        rows, cols, stack = [], [], [s]
+        depth[s] = depth[t] + 1
+        while stack:
+            n = stack.pop()
+            (rows if n < K else cols).append(n)
+            for c in children[n]:
+                depth[c] = depth[n] + 1
+                stack.append(c)
+        u[np.array(rows, dtype=np.intp)] += shift
+        v[np.array(cols, dtype=np.intp) - K] -= shift
+
+    return math.fsum(eflow[n] * C.flat[ecell[n]] for n in range(1, K + L))
+
+
+def _tree_potentials(cost: list, K: int, children: list):
+    """u (rows), v (columns) and node depths on the tree, with u_0 = 0."""
+    pot = [0.0] * len(children)
+    depth = [0] * len(children)
+    stack = [0]
+    while stack:
+        n = stack.pop()
+        for c in children[n]:
+            depth[c] = depth[n] + 1
+            pot[c] = cost[n][c - K] - pot[n] if c >= K else cost[c][n - K] - pot[n]
+            stack.append(c)
+    return np.array(pot[:K]), np.array(pot[K:]), depth
 
 
 def _measure_key(m: DiscreteMeasure) -> bytes:

@@ -308,7 +308,10 @@ def _cell_membership(fan, dm: DiscreteMeasure, x, gval):
     """Per-atom membership in the g-region and in each (closed) cone cell."""
     pts = dm.atoms - x
     vals = pts @ fan.vertices.T
-    pvals = vals.max(axis=1)
+    # column by column: a max along the short vertex axis costs far more
+    pvals = vals[:, 0].copy()
+    for i in range(1, vals.shape[1]):
+        np.maximum(pvals, vals[:, i], out=pvals)
     m0 = gval > pvals
     above_g = pvals > gval
     tol = CELL_TIE_TOL * (np.abs(pvals) + 1.0)

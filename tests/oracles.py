@@ -1,9 +1,10 @@
 """Independent reference computations for the test suite.
 
 Every oracle here deliberately avoids the package's own code paths:
-scipy's HiGHS for LPs, sorting/quantile arithmetic for 1-D transport,
-adaptive quadrature for 1-D risk integrals, central differences for
-gradients, dense sphere sampling for cone constants.
+scipy's HiGHS for LPs (the dense K*L transport LP among them),
+sorting/quantile arithmetic for 1-D transport, adaptive quadrature for
+1-D risk integrals, central differences for gradients, dense sphere
+sampling for cone constants.
 """
 
 import numpy as np
@@ -53,6 +54,24 @@ def w1_quantile_1d(atoms_a, w_a, atoms_b, w_b):
         total += (lv - prev) * abs(qa - qb)
         prev = lv
     return total
+
+
+def w1_transport_lp(atoms_a, w_a, atoms_b, w_b):
+    """Euclidean-ground transport distance as the dense K*L transport LP:
+    one column per atom pair, one equality row per marginal, by HiGHS."""
+    a = np.asarray(atoms_a, dtype=float)
+    b = np.asarray(atoms_b, dtype=float)
+    K, L = a.shape[0], b.shape[0]
+    cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2).reshape(-1)
+    A = np.zeros((K + L, K * L))
+    for k in range(K):
+        A[k, k * L:(k + 1) * L] = 1.0
+    for l in range(L):
+        A[K + l, l::L] = 1.0
+    rhs = np.concatenate([np.asarray(w_a, dtype=float), np.asarray(w_b, dtype=float)])
+    status, value, _ = scipy_lp(cost, A, ["=="] * (K + L), rhs, [(0, None)] * (K * L))
+    assert status == "optimal", status
+    return value
 
 
 def quad_risk_1d(d_lo, d_hi, lo, hi, x, gval):

@@ -1,15 +1,18 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recourselab import measures
+from recourselab.lp import LpNumericalError
 from recourselab.measures import (BoxDensityMeasure, DiscreteMeasure, JitterPlan,
                                   MeasureError, RegionV, ResamplePlan, ShiftPlan,
                                   check_a3_a4, discretize, perturb, wasserstein1)
 
-from .oracles import w1_quantile_1d
+from .oracles import w1_quantile_1d, w1_transport_lp
 
 
 def delta(z):
@@ -72,6 +75,95 @@ def test_w1_translation(v1, v2):
     v = np.array([v1, v2])
     nu = perturb(mu, ShiftPlan(v), seed=0)
     assert abs(wasserstein1(mu, nu) - np.linalg.norm(v)) <= 1e-9
+
+
+def _matches_transport_lp(mu, nu):
+    ref = w1_transport_lp(mu.atoms, mu.weights, nu.atoms, nu.weights)
+    return wasserstein1(mu, nu) == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 40), st.integers(1, 39),
+       st.integers(0, 2**32 - 1))
+def test_w1_matches_dense_transport_lp(s, K, L, seed):
+    L += L >= K  # K != L
+    rng = np.random.default_rng(seed)
+    mu = DiscreteMeasure(rng.normal(size=(K, s)), rng.dirichlet(np.ones(K)))
+    nu = DiscreteMeasure(rng.uniform(-1.0, 2.0, size=(L, s)), rng.dirichlet(np.ones(L)))
+    assert _matches_transport_lp(mu, nu)
+
+
+# streak 0 prices every pivot by Bland's rule, the anti-cycling fallback
+PRICING = pytest.mark.parametrize("streak", [measures.TRANSPORT_DEGENERATE_STREAK, 0],
+                                  ids=["dantzig", "bland"])
+
+
+def _degenerate_pairs():
+    """Pairs of measures that make the transport basis degenerate."""
+    rng = np.random.default_rng(404)
+    base = DiscreteMeasure(rng.uniform(size=(20, 2)), rng.dirichlet(np.full(20, 5.0)))
+    grid = np.stack(np.meshgrid(np.arange(6.0), np.arange(6.0)), axis=-1).reshape(-1, 2)
+    equal = np.full(36, 1.0 / 36)
+    zero_a = rng.dirichlet(np.ones(12))
+    zero_a[[0, 5, 11]] = 0.0
+    zero_a /= zero_a.sum()
+    zero_b = np.concatenate([[0.0], rng.dirichlet(np.ones(8)), [0.0]])
+    off = rng.dirichlet(np.ones(15))
+    off[0] += 8e-13  # the weights sum to 1 + 8e-13, inside WEIGHT_TOL
+    return {
+        "resampled-duplicates": (base, perturb(base, ResamplePlan(35), seed=3)),
+        "equal-weights-grid": (DiscreteMeasure(grid, equal),
+                               DiscreteMeasure(grid[::-1] + [0.5, 0.0], equal)),
+        "equal-weights-random": (DiscreteMeasure(rng.normal(size=(25, 3)), np.full(25, 0.04)),
+                                 DiscreteMeasure(rng.normal(size=(25, 3)), np.full(25, 0.04))),
+        "zero-weight-atoms": (DiscreteMeasure(rng.normal(size=(12, 2)), zero_a),
+                              DiscreteMeasure(rng.normal(size=(10, 2)), zero_b)),
+        "point-mass-vs-measure": (delta([0.3, -0.2]), base),
+        "point-masses": (delta([0.0, 0.0, 1.0]), delta([1.0, 2.0, -1.0])),
+        "weight-sums-differ": (DiscreteMeasure(rng.normal(size=(15, 2)), off),
+                               DiscreteMeasure(rng.normal(size=(9, 2)), rng.dirichlet(np.ones(9)))),
+    }
+
+
+@PRICING
+@pytest.mark.parametrize("family", sorted(_degenerate_pairs()))
+def test_w1_degenerate_families(family, streak, monkeypatch):
+    monkeypatch.setattr(measures, "TRANSPORT_DEGENERATE_STREAK", streak)
+    mu, nu = _degenerate_pairs()[family]
+    assert _matches_transport_lp(mu, nu)
+    assert wasserstein1(mu, nu) == wasserstein1(nu, mu)
+
+
+@PRICING
+def test_w1_identical_measures(streak, monkeypatch):
+    monkeypatch.setattr(measures, "TRANSPORT_DEGENERATE_STREAK", streak)
+    rng = np.random.default_rng(8)
+    atoms, weights = rng.normal(size=(30, 2)), rng.dirichlet(np.ones(30))
+    mu = DiscreteMeasure(atoms, weights)
+    order = rng.permutation(30)
+    assert wasserstein1(mu, DiscreteMeasure(atoms.copy(), weights.copy())) <= 1e-12
+    assert wasserstein1(mu, DiscreteMeasure(atoms[order], weights[order])) <= 1e-12
+
+
+def test_w1_scale_guard():
+    rng = np.random.default_rng(200)
+    mu = DiscreteMeasure(rng.uniform(size=(200, 2)), rng.dirichlet(np.ones(200)))
+    nu = DiscreteMeasure(rng.uniform(size=(200, 2)), np.full(200, 1.0 / 200))
+    t0 = time.perf_counter()
+    d = wasserstein1(mu, nu)
+    assert time.perf_counter() - t0 < 5.0
+    # bounds that need no LP: Jensen below, the independent coupling above
+    mean_gap = np.linalg.norm(mu.weights @ mu.atoms - nu.weights @ nu.atoms)
+    cost = np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :], axis=2)
+    assert mean_gap - 1e-12 <= d <= mu.weights @ cost @ nu.weights
+
+
+def test_w1_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(measures, "TRANSPORT_PIVOTS_PER_NODE", 0)
+    mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+    nu = DiscreteMeasure([[1.0, 0.0], [0.0, 0.0]], [0.5, 0.5])
+    with pytest.raises(LpNumericalError):
+        wasserstein1(mu, nu)
 
 
 def test_discretize_examples():
