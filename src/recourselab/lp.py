@@ -1,7 +1,11 @@
 """Dense linear programming kernel.
 
-Revised primal simplex with Bland's anti-cycling rule, dense basis inverse
-with periodic refactorization, phase-1 artificials for equality/>= rows.
+Revised primal simplex with Dantzig pricing that falls back to Bland's
+anti-cycling rule after a streak of degenerate pivots, phase-1 artificials
+for equality/>= rows. The dense basis inverse gets rank-1 updates on the
+support of the pivot row and is rebuilt every `refactor_every` pivots from a
+block-triangular split (single-nonzero columns on their own rows, a dense
+inverse for the rest), with a dense inverse as the fallback.
 Variables with finite lower bounds are shifted to zero, variables bounded
 only above are reflected, free variables are split into positive and
 negative parts; finite upper bounds become explicit rows. Built for
@@ -191,6 +195,53 @@ def _transform(lp: LinearProgram):
 
 # --- simplex core ------------------------------------------------------------
 
+# zero-step pivots in a row before pricing turns from Dantzig to Bland
+DEGENERATE_STREAK = 50
+_INVERSE_RESIDUAL_TOL = 1e-6
+
+
+def _block_inverse(B: np.ndarray) -> np.ndarray:
+    """Inverse of a basis matrix whose single-nonzero columns (slacks,
+    artificials, singleton structurals) are split off first.
+
+    With the singleton columns S on their rows R_S and the other columns N on
+    the remaining rows R_N, B is block upper-triangular,
+    [[D, B12], [0, B22]] with D diagonal, so only the k x k block B22 goes
+    through a dense inverse: B^-1 = [[D^-1, -D^-1 B12 B22^-1], [0, B22^-1]].
+    Raises LpNumericalError for a singular basis.
+    """
+    m = B.shape[0]
+    nonzero = B != 0.0
+    is_single = np.count_nonzero(nonzero, axis=0) == 1
+    single = np.flatnonzero(is_single)
+    other = np.flatnonzero(~is_single)
+    single_rows = nonzero[:, single].argmax(axis=0)
+    rest = np.ones(m, dtype=bool)
+    rest[single_rows] = False
+    other_rows = np.flatnonzero(rest)
+    if other_rows.size != other.size:
+        raise LpNumericalError("singular basis: two single-nonzero columns share a row")
+    dinv = 1.0 / B[single_rows, single]
+    Binv = np.zeros((m, m), order="F")
+    Binv[single, single_rows] = dinv
+    if other.size:
+        try:
+            inner = np.linalg.inv(B[other_rows][:, other])
+        except np.linalg.LinAlgError as exc:
+            raise LpNumericalError(f"singular basis block: {exc}") from exc
+        Binv[np.ix_(other, other_rows)] = inner
+        upper = B[single_rows][:, other] @ inner
+        upper *= -dinv[:, None]
+        Binv[np.ix_(single, other_rows)] = upper
+    return Binv
+
+
+def _inverse_residual(Binv: np.ndarray, B: np.ndarray) -> float:
+    """max |Binv B - I| (nan when the product is not finite)."""
+    R = Binv @ B
+    R.flat[:: R.shape[0] + 1] -= 1.0
+    return float(np.abs(R, out=R).max())
+
 
 class _Tableau:
     """Revised simplex state over the augmented column matrix."""
@@ -198,7 +249,7 @@ class _Tableau:
     def __init__(self, A: np.ndarray, b: np.ndarray, basis: list[int], opts: SimplexOptions):
         self.A = A
         self.b = b
-        self.basis = list(basis)
+        self.basis = np.array(basis, dtype=np.intp)
         self.opts = opts
         self.m = A.shape[0]
         self.pivots_since_refactor = 0
@@ -211,16 +262,32 @@ class _Tableau:
             self.xB = np.zeros(0)
             self.pivots_since_refactor = 0
             return
+        self.Binv = None  # release the old inverse before building the new one
         B = self.A[:, self.basis]
+        # the block-triangular inverse, and once more from a dense inverse
+        # when its residual is off
         try:
-            self.Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError as exc:
-            raise LpNumericalError(f"singular basis {self.basis}: {exc}") from exc
-        resid = np.abs(self.Binv @ B - np.eye(self.m)).max()
-        if not np.isfinite(resid) or resid > 1e-6:
-            raise LpNumericalError(f"basis inverse residual {resid:.2e} beyond pivot tolerance")
-        self.xB = self.Binv @ self.b
+            Binv = _block_inverse(B)
+            resid = _inverse_residual(Binv, B)
+        except LpNumericalError:
+            resid = np.inf
+        if not resid <= _INVERSE_RESIDUAL_TOL:
+            try:
+                Binv = np.asfortranarray(np.linalg.inv(B))
+            except np.linalg.LinAlgError as exc:
+                raise LpNumericalError(f"singular basis {self.basis.tolist()}: {exc}") from exc
+            resid = _inverse_residual(Binv, B)
+            if not resid <= _INVERSE_RESIDUAL_TOL:
+                raise LpNumericalError(f"basis inverse residual {resid:.2e} beyond pivot tolerance")
+        self.Binv = Binv
+        self.xB = Binv @ self.b
         self.pivots_since_refactor = 0
+
+    def column(self, q: int) -> np.ndarray:
+        """Binv @ A[:, q], over the nonzeros of column q."""
+        a = self.A[:, q]
+        nz = np.flatnonzero(a)
+        return self.Binv[:, nz] @ a[nz]
 
     def pivot(self, q: int, r: int, d: np.ndarray, theta: float):
         self.xB = self.xB - theta * d
@@ -229,9 +296,12 @@ class _Tableau:
         piv = d[r]
         if abs(piv) <= self.opts.pivot_tol:
             raise LpNumericalError(f"pivot element {piv:.2e} below pivot tolerance")
-        # product-form update of the inverse
+        # product-form update of the inverse, on the columns where the pivot
+        # row is nonzero (elsewhere it subtracts zeros); Binv is column-major,
+        # so those columns are contiguous rows of its transpose
         row = self.Binv[r, :] / piv
-        self.Binv = self.Binv - np.outer(d, row)
+        cols = np.flatnonzero(row)
+        self.Binv.T[cols, :] -= np.outer(row[cols], d)
         self.Binv[r, :] = row
         self.pivots_since_refactor += 1
         self.iterations += 1
@@ -239,7 +309,10 @@ class _Tableau:
             self._refactor()
 
     def run(self, cost: np.ndarray, eligible: np.ndarray, is_artificial: np.ndarray | None = None) -> str:
-        """Bland-rule primal simplex; returns 'optimal' or 'unbounded'.
+        """Primal simplex with Dantzig pricing; returns 'optimal' or 'unbounded'.
+
+        After DEGENERATE_STREAK zero-step pivots in a row, pricing follows
+        Bland's rule until a pivot moves, which rules out cycling.
 
         is_artificial marks artificial columns; when a row holding a
         zero-valued basic artificial can be pivoted on, the artificial is
@@ -248,35 +321,46 @@ class _Tableau:
         opts = self.opts
         ncols = self.A.shape[1]
         cap = opts.max_iters or (10000 + 50 * (self.m + ncols))
-        in_basis = np.zeros(ncols, dtype=bool)
-        in_basis[self.basis] = True
+        # only columns up to the last eligible one can enter (artificials come last)
+        width = int(np.flatnonzero(eligible)[-1]) + 1 if eligible.any() else 0
+        A_priced = self.A[:, :width]
+        open_cols = eligible[:width].copy()
+        open_cols[self.basis[self.basis < width]] = False
+        streak = 0
         while True:
             if self.iterations > cap:
                 raise LpNumericalError(f"iteration cap {cap} exceeded")
-            cB = cost[self.basis] if self.m else np.zeros(0)
-            y = cB @ self.Binv if self.m else np.zeros(0)
-            reduced = cost - (y @ self.A if self.m else 0.0)
-            candidates = np.flatnonzero((reduced < -opts.opt_tol) & eligible & ~in_basis)
+            y = cost[self.basis] @ self.Binv
+            reduced = cost[:width] - y @ A_priced
+            candidates = np.flatnonzero((reduced < -opts.opt_tol) & open_cols)
             if candidates.size == 0:
                 return "optimal"
-            q = int(candidates[0])  # Bland: lowest index enters
-            d = self.Binv @ self.A[:, q] if self.m else np.zeros(0)
+            if streak < DEGENERATE_STREAK:
+                # Dantzig: the most negative reduced cost, lowest index on ties
+                q = int(candidates[np.argmin(reduced[candidates])])
+            else:
+                q = int(candidates[0])  # Bland: lowest index enters
+            d = self.column(q)
             r = self._leaving_row(d, is_artificial)
             if r is None:
                 return "unbounded"
-            in_basis[self.basis[r]] = False
-            in_basis[q] = True
+            leaving = self.basis[r]
+            if leaving < width:
+                open_cols[leaving] = eligible[leaving]
+            open_cols[q] = False
             theta = max(self.xB[r] / d[r], 0.0) if abs(d[r]) > opts.pivot_tol else 0.0
+            streak = 0 if theta > 0.0 else streak + 1
             self.pivot(q, r, d, theta)
 
     def _leaving_row(self, d: np.ndarray, is_artificial: np.ndarray | None) -> int | None:
         opts = self.opts
-        # expel a zero-valued basic artificial whenever its row moves at all
+        # expel a zero-valued basic artificial whenever its row moves at all;
+        # the lowest such row goes first
         if is_artificial is not None and self.m:
-            art_rows = is_artificial[np.asarray(self.basis)]
-            for r in np.flatnonzero(art_rows):
-                if abs(d[r]) > opts.pivot_tol and self.xB[r] <= opts.feas_tol:
-                    return int(r)
+            stuck = np.flatnonzero(is_artificial[self.basis] & (np.abs(d) > opts.pivot_tol)
+                                   & (self.xB <= opts.feas_tol))
+            if stuck.size:
+                return int(stuck[0])
         pos = np.flatnonzero(d > opts.pivot_tol)
         if pos.size == 0:
             return None
@@ -284,8 +368,7 @@ class _Tableau:
         theta = ratios.min()
         ties = pos[ratios <= theta + 1e-12 * (1.0 + abs(theta))]
         # Bland: among ties, leave the row whose basic variable index is lowest
-        basis = np.asarray(self.basis)
-        return int(ties[np.argmin(basis[ties])])
+        return int(ties[np.argmin(self.basis[ties])])
 
 
 def solve_lp(lp: LinearProgram, options: SimplexOptions = DEFAULT_OPTIONS) -> LpOutcome:
@@ -293,41 +376,24 @@ def solve_lp(lp: LinearProgram, options: SimplexOptions = DEFAULT_OPTIONS) -> Lp
     Ahat, bhat, senses, chat, modes, cols, shift, ub_row_of_col = _transform(lp)
     mhat, nhat = Ahat.shape
 
-    row_sign = np.ones(mhat)
-    A = Ahat.copy()
-    b = bhat.copy()
-    eff_senses = list(senses)
-    for i in range(mhat):
-        if b[i] < 0:
-            A[i, :] *= -1.0
-            b[i] *= -1.0
-            row_sign[i] = -1.0
-            if eff_senses[i] == LE:
-                eff_senses[i] = GE
-            elif eff_senses[i] == GE:
-                eff_senses[i] = LE
+    # rows with a negative right-hand side are negated, flipping <= and >=
+    row_sign = np.where(bhat < 0, -1.0, 1.0)
+    b = bhat * row_sign
+    flip = {LE: GE, GE: LE, EQ: EQ}
+    eff_senses = [flip[s] if sign < 0 else s for s, sign in zip(senses, row_sign)]
 
     # augment with slack/surplus and artificial columns
-    slack_cols: dict[int, int] = {}
-    art_cols: dict[int, int] = {}
-    blocks = [A]
-    col_ptr = nhat
-    for i, s in enumerate(eff_senses):
-        if s in (LE, GE):
-            col = np.zeros((mhat, 1))
-            col[i, 0] = 1.0 if s == LE else -1.0
-            blocks.append(col)
-            slack_cols[i] = col_ptr
-            col_ptr += 1
-    for i, s in enumerate(eff_senses):
-        if s in (EQ, GE):
-            col = np.zeros((mhat, 1))
-            col[i, 0] = 1.0
-            blocks.append(col)
-            art_cols[i] = col_ptr
-            col_ptr += 1
-    Afull = np.hstack(blocks) if blocks else A
-    ncols = Afull.shape[1]
+    slack_rows = [i for i, s in enumerate(eff_senses) if s in (LE, GE)]
+    art_rows = [i for i, s in enumerate(eff_senses) if s in (EQ, GE)]
+    slack_cols = {i: nhat + k for k, i in enumerate(slack_rows)}
+    art_cols = {i: nhat + len(slack_rows) + k for k, i in enumerate(art_rows)}
+    ncols = nhat + len(slack_rows) + len(art_rows)
+    Afull = np.zeros((mhat, ncols))
+    np.multiply(Ahat, row_sign[:, None], out=Afull[:, :nhat])
+    for i, k in slack_cols.items():
+        Afull[i, k] = 1.0 if eff_senses[i] == LE else -1.0
+    for i, k in art_cols.items():
+        Afull[i, k] = 1.0
 
     basis = [art_cols.get(i, slack_cols.get(i, -1)) for i in range(mhat)]
     if any(k < 0 for k in basis):  # pragma: no cover - every row gets a column above
@@ -399,7 +465,7 @@ def _expel_artificials(tab: _Tableau, is_artificial: np.ndarray, opts: SimplexOp
         cand = np.flatnonzero(np.abs(row) > opts.pivot_tol)
         if cand.size:
             q = int(cand[0])
-            d = tab.Binv @ tab.A[:, q]
+            d = tab.column(q)
             tab.pivot(q, r, d, 0.0)
 
 

@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recourselab.lp import (LinearProgram, LpInputError, check_feasible, dual_objective,
-                            solve_lp, verify_optimality)
+from recourselab import lp as lp_module
+from recourselab.lp import (DEFAULT_OPTIONS, LinearProgram, LpInputError, LpNumericalError,
+                            SimplexOptions, _block_inverse, _Tableau, check_feasible,
+                            dual_objective, solve_lp, verify_optimality)
+from recourselab.measures import DiscreteMeasure
+from recourselab.risk import RiskSpec
+from recourselab.solver import (FirstStage, RecourseData, TwoStageProblem,
+                                build_deterministic_equivalent)
 
 from .oracles import scipy_lp
 
@@ -144,3 +150,129 @@ def test_degenerate_redundant_rows():
     out = solve_lp(lp)
     assert out.status == "optimal"
     assert out.x == pytest.approx([0.5, 0.5], abs=1e-9)
+
+
+# Beale's LP: Dantzig pricing with lowest-index ties cycles on it forever
+BEALE = dict(c=[-0.75, 20.0, -0.5, 6.0],
+             A=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+             senses=["<="] * 3, b=[0.0, 0.0, 1.0])
+
+
+def test_beale_cycling_lp_reaches_optimum():
+    out = solve_lp(LinearProgram.minimize(**BEALE))
+    assert out.status == "optimal"
+    assert out.value == pytest.approx(-1.25, abs=1e-12)
+    assert out.x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+
+def test_pure_dantzig_cycles_on_beale(monkeypatch):
+    # without the Bland fallback the same LP never leaves its degenerate vertex
+    monkeypatch.setattr(lp_module, "DEGENERATE_STREAK", 10**6)
+    with pytest.raises(LpNumericalError, match="iteration cap"):
+        solve_lp(LinearProgram.minimize(**BEALE), SimplexOptions(max_iters=2000))
+
+
+# streak 0 prices every pivot by Bland's rule, the anti-cycling fallback; the
+# tests above run with the default streak, that is with Dantzig pricing
+@pytest.mark.parametrize("check", [test_strong_duality_on_random_solvable_lps,
+                                   test_status_classification_matches_reference,
+                                   test_determinism_bit_for_bit],
+                         ids=["strong-duality-bland", "status-bland", "determinism-bland"])
+def test_reference_checks_under_bland_pricing(check, monkeypatch):
+    monkeypatch.setattr(lp_module, "DEGENERATE_STREAK", 0)
+    check()
+
+
+def _assert_matches_reference(lp, out, rel):
+    assert out.status == "optimal"
+    assert verify_optimality(lp, out) <= 1e-8
+    bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+              for lo, hi in zip(lp.lb, lp.ub)]
+    status, ref, _ = scipy_lp(lp.c, lp.A, lp.senses, lp.b, bounds)
+    assert status == "optimal"
+    assert out.value == pytest.approx(ref, abs=rel, rel=rel)
+
+
+def test_refactor_every_pivot_on_random_lps():
+    # every pivot rebuilds the inverse, with structural columns in the basis
+    rng = np.random.default_rng(20240817)
+    for _ in range(100):
+        lp = _random_solvable(rng)
+        _assert_matches_reference(lp, solve_lp(lp, SimplexOptions(refactor_every=1)), 1e-7)
+
+
+def _semideviation_det_eq(seed=7, atoms=120):
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.8, 1.2, size=2)
+    stage = FirstStage(T=[[1.0]], h=[rng.uniform(-0.1, 0.1)], H=None,
+                       A_X=[[1.0], [-1.0]], b_X=[1.0, 0.0])
+    weights = rng.dirichlet(np.full(atoms, 5.0))
+    mu = DiscreteMeasure(rng.uniform(size=(atoms, 1)), weights / weights.sum())
+    problem = TwoStageProblem(stage, RecourseData([[1.0, -1.0]], q), mu,
+                              RiskSpec.upper_semideviation())
+    return build_deterministic_equivalent(problem)
+
+
+def test_refactor_every_pivot_on_det_equivalent_lp():
+    lp = _semideviation_det_eq()
+    assert lp.m == 363
+    out = solve_lp(lp, SimplexOptions(refactor_every=1))
+    _assert_matches_reference(lp, out, 1e-9)
+    assert out.value == pytest.approx(solve_lp(lp).value, rel=1e-9)
+
+
+def _mixed_basis(rng, m, k):
+    """m x m basis: k dense columns, the rest single nonzeros (+-1 or scaled)
+    on distinct rows, columns shuffled."""
+    B = np.zeros((m, m))
+    rows = rng.permutation(m)
+    dense_rows = rows[:k]
+    B[:, :k] = rng.normal(size=(m, k))
+    B[dense_rows, np.arange(k)] += 4.0 * np.sqrt(m)  # keeps the dense block well conditioned
+    singles = rows[k:]
+    B[singles, np.arange(k, m)] = rng.choice([-1.0, 1.0, 2.5, -0.4], size=m - k)
+    return B[:, rng.permutation(m)]
+
+
+@pytest.mark.parametrize("m", [1, 5, 40])
+def test_block_inverse_matches_dense_inverse(m):
+    rng = np.random.default_rng(m)
+    for k in range(m + 1):
+        B = _mixed_basis(rng, m, k)
+        np.testing.assert_allclose(_block_inverse(B), np.linalg.inv(B), rtol=0.0, atol=1e-12)
+
+
+def test_singular_basis_raises():
+    B = _mixed_basis(np.random.default_rng(3), 6, 2)
+    # two single-nonzero columns on one row
+    singles = np.flatnonzero(np.count_nonzero(B, axis=0) == 1)
+    B[:, singles[0]] = B[:, singles[1]]
+    with pytest.raises(LpNumericalError):
+        _block_inverse(B)
+    with pytest.raises(LpNumericalError):
+        _Tableau(B, np.ones(6), list(range(6)), DEFAULT_OPTIONS)
+    # a rank-deficient block of dense columns
+    A = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 0.0], [3.0, 6.0, 0.0]])
+    with pytest.raises(LpNumericalError):
+        _Tableau(A, np.ones(3), [0, 1, 2], DEFAULT_OPTIONS)
+
+
+def _perturbed(inverse):
+    def perturbed(B):
+        return inverse(B) + 1e-3
+    return perturbed
+
+
+def test_refactor_retries_with_dense_inverse(monkeypatch):
+    lps = [_random_solvable(np.random.default_rng(seed)) for seed in range(20)]
+    opts = SimplexOptions(refactor_every=1)
+    expected = [solve_lp(lp, opts).value for lp in lps]
+    monkeypatch.setattr(lp_module, "_block_inverse", _perturbed(_block_inverse))
+    for lp, value in zip(lps, expected):
+        out = solve_lp(lp, opts)
+        assert out.status == "optimal"
+        assert out.value == pytest.approx(value, rel=1e-9, abs=1e-9)
+    # the dense retry fails as well: the residual check still raises
+    monkeypatch.setattr(np.linalg, "inv", _perturbed(np.linalg.inv))
+    with pytest.raises(LpNumericalError, match="residual"):
+        solve_lp(lps[0], opts)
