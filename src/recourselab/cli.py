@@ -183,8 +183,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    bundle, _ = _load(args)
-    problem = bundle.two_stage()
+    bundle, fan = _load(args)
+    problem = bundle.two_stage(fan)
     options = SolveOptions(tol=args.tol, max_iters=args.max_iters, kappa=args.kappa,
                            resolution=args.resolution)
     result = solve_two_stage(problem, options)
@@ -199,8 +199,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    bundle, _ = _load(args)
-    problem = bundle.two_stage()
+    bundle, fan = _load(args)
+    problem = bundle.two_stage(fan)
     if args.plans:
         with open(args.plans, "r", encoding="utf-8") as fh:
             plans = plans_from_json(json.load(fh))

@@ -2,10 +2,12 @@
 
 Revised primal simplex with Dantzig pricing that falls back to Bland's
 anti-cycling rule after a streak of degenerate pivots, phase-1 artificials
-for equality/>= rows. The dense basis inverse gets rank-1 updates on the
-support of the pivot row and is rebuilt every `refactor_every` pivots from a
-block-triangular split (single-nonzero columns on their own rows, a dense
-inverse for the rest), with a dense inverse as the fallback.
+for equality/>= rows. A >= row with b = 0 starts on its slack instead: it is
+negated into a <= row whose slack is basic at 0, so it needs no artificial.
+The dense basis inverse gets rank-1 updates on the support of the pivot row
+and is rebuilt every `refactor_every` pivots from a block-triangular split
+(single-nonzero columns on their own rows, a dense inverse for the rest),
+with a dense inverse as the fallback.
 Variables with finite lower bounds are shifted to zero, variables bounded
 only above are reflected, free variables are split into positive and
 negative parts; finite upper bounds become explicit rows. Built for
@@ -376,9 +378,11 @@ def solve_lp(lp: LinearProgram, options: SimplexOptions = DEFAULT_OPTIONS) -> Lp
     Ahat, bhat, senses, chat, modes, cols, shift, ub_row_of_col = _transform(lp)
     mhat, nhat = Ahat.shape
 
-    # rows with a negative right-hand side are negated, flipping <= and >=
-    row_sign = np.where(bhat < 0, -1.0, 1.0)
-    b = bhat * row_sign
+    # rows with a negative right-hand side are negated, flipping <= and >=; so
+    # are >= rows with b = 0, whose slack then starts feasible, basic at 0
+    is_ge = np.array([s == GE for s in senses], dtype=bool)
+    row_sign = np.where((bhat < 0) | ((bhat == 0) & is_ge), -1.0, 1.0)
+    b = np.abs(bhat)  # bhat * row_sign, without a -0.0
     flip = {LE: GE, GE: LE, EQ: EQ}
     eff_senses = [flip[s] if sign < 0 else s for s, sign in zip(senses, row_sign)]
 

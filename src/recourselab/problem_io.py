@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RecourseData
+from .geometry import DualVertexFan, RecourseData
 from .measures import (BoxDensityMeasure, DiscreteMeasure, JitterPlan, Measure,
                        PerturbationPlan, RegionV, ResamplePlan, ShiftPlan)
 from .risk import RiskSpec
@@ -39,10 +39,12 @@ class ProblemBundle:
     first_stage: FirstStage | None
     region: RegionV | None
 
-    def two_stage(self) -> TwoStageProblem:
+    def two_stage(self, fan: DualVertexFan | None = None) -> TwoStageProblem:
+        """The two-stage problem; `fan`, when given, is the recourse data's
+        fan, so the solver does not enumerate it again."""
         if self.first_stage is None:
             raise ProblemFormatError("problem file has no first_stage section")
-        return TwoStageProblem(self.first_stage, self.recourse, self.measure, self.risk)
+        return TwoStageProblem(self.first_stage, self.recourse, self.measure, self.risk, fan)
 
 
 def _require(mapping: dict, key: str, where: str):

@@ -1,8 +1,10 @@
 """First-stage optimization over polyhedral feasible sets.
 
 For zero quadratic cost and a finitely supported measure the problem is a
-single deterministic-equivalent LP (scenario copies of the recourse
-program, epigraph variables for the excess/semideviation objectives).
+single deterministic-equivalent LP: scenario copies of the recourse
+program plus one variable per scenario for the excess/semideviation
+objectives, w_k >= eta as a bound for the expected excess and
+v_k = w_k - t >= 0 for the semideviation, so each scenario adds one row.
 With a PSD quadratic cost it runs projected subgradient descent with
 diminishing steps; projections onto the feasible polyhedron use a small
 active-set QP. A brute-force grid oracle over the feasible box provides
@@ -11,7 +13,9 @@ an independent low-dimensional check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +91,11 @@ class FirstStage:
     def has_quadratic(self) -> bool:
         return self.H is not None
 
+    @cached_property
+    def _box(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The 2n LPs of feasible_box, solved once per first stage."""
+        return _bounding_box(self)
+
 
 @dataclass(frozen=True)
 class TwoStageProblem:
@@ -94,14 +103,23 @@ class TwoStageProblem:
     recourse: RecourseData
     measure: Measure
     risk: RiskSpec
+    # the recourse data's fan when the caller has enumerated it already
+    known_fan: DualVertexFan | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.first_stage.s != self.recourse.s:
             raise ValueError("T row count must match the recourse dimension")
         if self.measure.s != self.recourse.s:
             raise ValueError("measure dimension must match the recourse dimension")
+        if self.known_fan is not None and not (
+                np.array_equal(self.known_fan.recourse.W, self.recourse.W)
+                and np.array_equal(self.known_fan.recourse.q, self.recourse.q)):
+            raise ValueError("known_fan must be enumerated from this problem's recourse data")
 
     def fan(self) -> DualVertexFan:
+        """The given fan, or a fresh enumeration when none was given."""
+        if self.known_fan is not None:
+            return self.known_fan
         return enumerate_dual_vertices(self.recourse)
 
 
@@ -125,7 +143,13 @@ class SolveOptions:
 
 def feasible_box(fs: FirstStage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bounding box of X plus one feasible point; raises if X is empty or
-    unbounded (the toolkit refuses unbounded feasible sets)."""
+    unbounded (the toolkit refuses unbounded feasible sets). The LPs run once
+    per first stage; each call returns fresh copies."""
+    lo, hi, feas = fs._box
+    return lo.copy(), hi.copy(), feas.copy()
+
+
+def _bounding_box(fs: FirstStage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = fs.n
     lo = np.empty(n)
     hi = np.empty(n)
@@ -134,7 +158,7 @@ def feasible_box(fs: FirstStage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        for sense, target in ((1.0, "max"), (-1.0, "min")):
+        for target in ("max", "min"):
             lp = LinearProgram._build(target, e, fs.A_X, [LE] * fs.b_X.shape[0], fs.b_X, *free)
             out = solve_lp(lp)
             if out.status == "infeasible":
@@ -162,10 +186,12 @@ def build_deterministic_equivalent(p: TwoStageProblem) -> LinearProgram:
     """Single LP over (x, y_1..y_K [, w_1..w_K][, t]).
 
     Expectation: min h.x + sum_k p_k q.y_k with scenario rows
-    T x + W y_k = z_k. Expected excess adds w_k >= eta, w_k >= q.y_k and
-    prices the w's. Upper semideviation adds the mean recourse cost t as
-    an equality plus w_k >= t, w_k >= q.y_k; minimization then drives
-    every scenario cost to its optimum so t ends at the true mean.
+    T x + W y_k = z_k. Expected excess prices w_k with the bound
+    w_k >= eta and the row w_k >= q.y_k. Upper semideviation adds the mean
+    recourse cost t as an equality, and its "w" block holds v_k = w_k - t
+    with v_k >= 0 and the row v_k + t >= q.y_k, priced as
+    (sum_k p_k) t + sum_k p_k v_k; minimization then drives every scenario
+    cost to its optimum so t ends at the true mean.
     """
     fs, rd, dm = _scenario_blocks(p)
     n, s, m = fs.n, fs.s, rd.m
@@ -195,20 +221,7 @@ def build_deterministic_equivalent(p: TwoStageProblem) -> LinearProgram:
             rows.append(row)
             senses.append(EQ)
             rhs.append(dm.atoms[k, r])
-    if kind == EXPECTED_EXCESS:
-        for k in range(K):
-            row = np.zeros(ncols)
-            row[w_off + k] = 1.0
-            rows.append(row)
-            senses.append(GE)
-            rhs.append(float(p.risk.eta))
-            row = np.zeros(ncols)
-            row[w_off + k] = 1.0
-            row[n + k * m: n + (k + 1) * m] = -rd.q
-            rows.append(row)
-            senses.append(GE)
-            rhs.append(0.0)
-    elif kind == UPPER_SEMIDEVIATION:
+    if kind == UPPER_SEMIDEVIATION:
         row = np.zeros(ncols)
         row[t_off] = 1.0
         for k in range(K):
@@ -216,15 +229,13 @@ def build_deterministic_equivalent(p: TwoStageProblem) -> LinearProgram:
         rows.append(row)
         senses.append(EQ)
         rhs.append(0.0)
+    if n_w:
+        # w_k >= q.y_k, or v_k + t >= q.y_k for the semideviation
         for k in range(K):
             row = np.zeros(ncols)
             row[w_off + k] = 1.0
-            row[t_off] = -1.0
-            rows.append(row)
-            senses.append(GE)
-            rhs.append(0.0)
-            row = np.zeros(ncols)
-            row[w_off + k] = 1.0
+            if n_t:
+                row[t_off] = 1.0
             row[n + k * m: n + (k + 1) * m] = -rd.q
             rows.append(row)
             senses.append(GE)
@@ -237,18 +248,25 @@ def build_deterministic_equivalent(p: TwoStageProblem) -> LinearProgram:
             c[n + k * m: n + (k + 1) * m] = dm.weights[k] * rd.q
     else:
         c[w_off: w_off + K] = dm.weights
+    if n_t:
+        c[t_off] = math.fsum(dm.weights)
 
+    # w_k >= eta for the excess, v_k >= 0 for the semideviation
+    w_lb = float(p.risk.eta) if kind == EXPECTED_EXCESS else 0.0
     lb = np.concatenate([
         np.full(n, -np.inf),
         np.zeros(K * m),
-        np.full(n_w + n_t, -np.inf),
+        np.full(n_w, w_lb),
+        np.full(n_t, -np.inf),
     ])
     ub = np.full(ncols, np.inf)
     return LinearProgram.minimize(c, np.array(rows), senses, np.array(rhs), lb=lb, ub=ub)
 
 
 def det_equivalent_layout(p: TwoStageProblem) -> dict:
-    """Column offsets of the deterministic equivalent, by construction."""
+    """Column offsets of the deterministic equivalent, by construction. The
+    "w" block holds w_k >= eta for the expected excess and v_k = w_k - t for
+    the upper semideviation."""
     fs, rd = p.first_stage, p.recourse
     K = p.measure.n_atoms
     n, m = fs.n, rd.m

@@ -92,7 +92,7 @@ def run_stability_experiment(p: TwoStageProblem, plans: list[PerturbationPlan],
     for plan_id, (plan, seed) in enumerate(zip(plans, seeds)):
         nu = perturb(p.measure, plan, seed)
         w1 = wasserstein1(p.measure, nu)
-        p_nu = TwoStageProblem(p.first_stage, p.recourse, nu, p.risk)
+        p_nu = TwoStageProblem(p.first_stage, p.recourse, nu, p.risk, p.known_fan)
         try:
             nu_set, nu_value = _solution_set(p_nu, options)
         except SolverError as exc:

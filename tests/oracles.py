@@ -1,7 +1,8 @@
 """Independent reference computations for the test suite.
 
 Every oracle here deliberately avoids the package's own code paths:
-scipy's HiGHS for LPs (the dense K*L transport LP among them),
+scipy's HiGHS for LPs (the dense K*L transport LP and the epigraph-row
+deterministic equivalent among them),
 sorting/quantile arithmetic for 1-D transport, adaptive quadrature for
 1-D risk integrals, central differences for gradients, dense sphere
 sampling for cone constants.
@@ -72,6 +73,63 @@ def w1_transport_lp(atoms_a, w_a, atoms_b, w_b):
     status, value, _ = scipy_lp(cost, A, ["=="] * (K + L), rhs, [(0, None)] * (K * L))
     assert status == "optimal", status
     return value
+
+
+def det_equivalent_epigraph(T, h, A_X, b_X, W, q, atoms, weights, kind, eta=None):
+    """The deterministic-equivalent LP with two epigraph rows per scenario,
+    by HiGHS; returns (value, x).
+
+    Columns (x, y_1..y_K [, w_1..w_K][, t]) with x and w, t free, y_k >= 0,
+    X rows A_X x <= b_X and scenario rows T x + W y_k = z_k. The expectation
+    prices sum_k p_k q.y_k. The expected excess prices sum_k p_k w_k with
+    the rows w_k >= eta and w_k >= q.y_k. The upper semideviation prices
+    sum_k p_k w_k with the mean row t = sum_k p_k q.y_k and the rows
+    w_k >= t and w_k >= q.y_k.
+    """
+    T, W = np.atleast_2d(np.asarray(T, dtype=float)), np.atleast_2d(np.asarray(W, dtype=float))
+    A_X = np.asarray(A_X, dtype=float)
+    q, h = np.asarray(q, dtype=float), np.asarray(h, dtype=float)
+    atoms, weights = np.asarray(atoms, dtype=float), np.asarray(weights, dtype=float)
+    (s, n), m, K = T.shape, W.shape[1], atoms.shape[0]
+    n_w = 0 if kind == "expectation" else K
+    n_t = 1 if kind == "upper_semideviation" else 0
+    ncols = n + K * m + n_w + n_t
+    y = [slice(n + k * m, n + (k + 1) * m) for k in range(K)]
+    w, t = n + K * m, n + K * m + n_w
+    rows, senses, rhs = [], [], []
+
+    def add(sense, b, *entries):
+        row = np.zeros(ncols)
+        for cols, vals in entries:
+            row[cols] = vals
+        rows.append(row)
+        senses.append(sense)
+        rhs.append(b)
+
+    for a, b in zip(A_X, b_X):
+        add("<=", b, (slice(0, n), a))
+    for k in range(K):
+        for r in range(s):
+            add("==", atoms[k, r], (slice(0, n), T[r]), (y[k], W[r]))
+    if kind == "upper_semideviation":
+        add("==", 0.0, (t, 1.0), *[(y[k], -weights[k] * q) for k in range(K)])
+    for k in range(n_w):
+        if kind == "expected_excess":
+            add(">=", eta, (w + k, 1.0))
+        else:
+            add(">=", 0.0, (w + k, 1.0), (t, -1.0))
+        add(">=", 0.0, (w + k, 1.0), (y[k], -q))
+    c = np.zeros(ncols)
+    c[:n] = h
+    for k in range(K):
+        if kind == "expectation":
+            c[y[k]] = weights[k] * q
+        else:
+            c[w + k] = weights[k]
+    bounds = [(None, None)] * n + [(0.0, None)] * (K * m) + [(None, None)] * (n_w + n_t)
+    status, value, sol = scipy_lp(c, np.array(rows), senses, np.array(rhs), bounds)
+    assert status == "optimal", status
+    return value, sol[:n]
 
 
 def quad_risk_1d(d_lo, d_hi, lo, hi, x, gval):

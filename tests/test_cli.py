@@ -146,6 +146,32 @@ def test_solve_median(median_file, tmp_path):
     assert payload["path"] == "det-equivalent"
 
 
+def test_solve_enumerates_the_fan_once(bench_file, tmp_path, monkeypatch):
+    from recourselab import cli, geometry, solver
+
+    calls = []
+
+    def counting(rd, *args, **kwargs):
+        calls.append(rd)
+        return geometry.enumerate_dual_vertices(rd, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_dual_vertices", counting)
+    monkeypatch.setattr(solver, "enumerate_dual_vertices", counting)
+    out = tmp_path / "solve.json"
+    # the subgradient path builds its objective from the fan the CLI loaded
+    assert main(["solve", "--problem", bench_file, "--max-iters", "20", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["path"] == "subgradient"
+    assert len(calls) == 1
+
+
+def test_solve_rejects_rank_deficient_recourse(tmp_path):
+    problem = dict(MEDIAN)
+    problem["recourse"] = {"W": [[0.0, 0.0]], "q": [1.0, 1.0]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    assert main(["solve", "--problem", str(path), "--out", str(tmp_path / "s.json")]) == 2
+
+
 def test_stability_csv_and_exponent(median_file, tmp_path, capsys):
     plans = [{"kind": "shift", "v": [eps]} for eps in (1e-3, 1e-2, 1e-1)]
     plans_file = tmp_path / "plans.json"

@@ -152,6 +152,52 @@ def test_degenerate_redundant_rows():
     assert out.x == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
+def test_zero_rhs_ge_rows_match_reference():
+    # >= rows with b = 0 start on their slack, negated; their duals come back
+    # through the row sign, which verify_optimality checks
+    rng = np.random.default_rng(20261018)
+    flipped = 0
+    for _ in range(100):
+        m = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 9))
+        A = rng.normal(size=(m, n)).round(3)
+        x0 = rng.uniform(0.0, 2.0, size=n)
+        senses = [str(rng.choice(["<=", "==", ">=", ">="])) for _ in range(m)]
+        b = A @ x0
+        for i, sense in enumerate(senses):
+            if sense == ">=":
+                A[i] *= np.sign(b[i]) or 1.0  # x0 stays feasible for A_i x >= 0
+                b[i] = 0.0
+                flipped += 1
+            elif sense == "<=":
+                b[i] += rng.choice([0.0, rng.uniform(0.0, 1.0)])
+        lp = LinearProgram.minimize(rng.normal(size=n).round(3), A, senses, b,
+                                    lb=np.zeros(n), ub=np.full(n, 10.0))
+        _assert_matches_reference(lp, solve_lp(lp), 1e-7)
+    assert flipped > 100
+
+
+def test_zero_rhs_ge_rows_need_no_phase_one():
+    # x1 + x2 <= 4 inside the cone 2 x2 <= x1 <= 3 x2: only the slack basis
+    lp = LinearProgram.minimize([-1.0, -2.0], [[1.0, 1.0], [1.0, -2.0], [-1.0, 3.0]],
+                                ["<=", ">=", ">="], [4.0, 0.0, 0.0])
+    runs = []
+    original = _Tableau.run
+
+    def spy(self, cost, eligible, is_artificial=None):
+        runs.append(is_artificial is not None and bool(is_artificial.any()))
+        return original(self, cost, eligible, is_artificial)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Tableau, "run", spy)
+        out = solve_lp(lp)
+    assert runs == [False]  # one run, phase 2, with no artificial column
+    assert out.status == "optimal"
+    assert out.x == pytest.approx([8.0 / 3.0, 4.0 / 3.0], abs=1e-12)
+    assert out.value == pytest.approx(-16.0 / 3.0, abs=1e-12)
+    assert verify_optimality(lp, out) <= 1e-12
+
+
 # Beale's LP: Dantzig pricing with lowest-index ties cycles on it forever
 BEALE = dict(c=[-0.75, 20.0, -0.5, 6.0],
              A=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
@@ -176,8 +222,11 @@ def test_pure_dantzig_cycles_on_beale(monkeypatch):
 # tests above run with the default streak, that is with Dantzig pricing
 @pytest.mark.parametrize("check", [test_strong_duality_on_random_solvable_lps,
                                    test_status_classification_matches_reference,
-                                   test_determinism_bit_for_bit],
-                         ids=["strong-duality-bland", "status-bland", "determinism-bland"])
+                                   test_determinism_bit_for_bit,
+                                   test_zero_rhs_ge_rows_match_reference,
+                                   test_zero_rhs_ge_rows_need_no_phase_one],
+                         ids=["strong-duality-bland", "status-bland", "determinism-bland",
+                              "zero-rhs-ge-bland", "no-phase-one-bland"])
 def test_reference_checks_under_bland_pricing(check, monkeypatch):
     monkeypatch.setattr(lp_module, "DEGENERATE_STREAK", 0)
     check()
@@ -215,7 +264,7 @@ def _semideviation_det_eq(seed=7, atoms=120):
 
 def test_refactor_every_pivot_on_det_equivalent_lp():
     lp = _semideviation_det_eq()
-    assert lp.m == 363
+    assert lp.m == 243
     out = solve_lp(lp, SimplexOptions(refactor_every=1))
     _assert_matches_reference(lp, out, 1e-9)
     assert out.value == pytest.approx(solve_lp(lp).value, rel=1e-9)

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from recourselab.lp import solve_lp
+from recourselab import solver as solver_module
+from recourselab.geometry import RecourseData, enumerate_dual_vertices, recourse_lp
+from recourselab.lp import solve_lp, verify_optimality
 from recourselab.measures import DiscreteMeasure
 from recourselab.risk import RiskSpec, eval_q
 from recourselab.solver import (FirstStage, SolveOptions, SolverError, TwoStageProblem,
                                 build_deterministic_equivalent, det_equivalent_layout,
                                 feasible_box, grid_search_oracle, solve_two_stage)
+
+from .oracles import det_equivalent_epigraph
 
 E = RiskSpec.expectation()
 
@@ -33,7 +39,7 @@ class TestDetEquivalent:
             TwoStageProblem(interval_stage(), rd_1d, mu, E))
         lp = build_deterministic_equivalent(p)
         assert lp.n - base.n == 3  # one epigraph variable per scenario
-        assert lp.m - base.m == 6  # two inequality rows per scenario
+        assert lp.m - base.m == 3  # one inequality row per scenario; w >= eta is a bound
 
     def test_semideviation_epigraph_consistency(self, rd_1d, nine_atoms):
         spec = RiskSpec.upper_semideviation()
@@ -61,6 +67,72 @@ class TestDetEquivalent:
         p2 = TwoStageProblem(interval_stage(), rd_1d, box_1d, E)
         with pytest.raises(SolverError, match="finitely supported"):
             build_deterministic_equivalent(p2)
+
+
+def _l1_cost(q, t):
+    """phi(t) = sum_j max(q+_j t_j, -q-_j t_j), the recourse cost of W = [I, -I]."""
+    s = t.shape[-1]
+    return np.maximum(q[:s] * t, -q[s:] * t).sum(axis=-1)
+
+
+def _closed_form_risk(costs, weights, kind, eta):
+    mean = float(weights @ costs)
+    if kind == "expectation":
+        return mean
+    if kind == "expected_excess":
+        return float(weights @ np.maximum(costs, eta))
+    return mean + float(weights @ np.maximum(costs - mean, 0.0))
+
+
+def _random_det_eq_instance(seed, s, n, atoms, kind, eta_at):
+    """A random problem on X = [0, 1]^n with the L1 recourse W = [I, -I],
+    non-uniform weights and, for the excess, eta below every scenario cost
+    (negative), at 0, among the costs at the centre of X, or above every
+    cost on X."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.5, 1.5, size=2 * s)
+    T = rng.uniform(-1.0, 1.0, size=(s, n))
+    stage = FirstStage(T=T, h=rng.uniform(-0.3, 0.3, size=n), H=None,
+                       A_X=np.vstack([np.eye(n), -np.eye(n)]),
+                       b_X=np.concatenate([np.ones(n), np.zeros(n)]))
+    z = rng.uniform(0.0, 1.0, size=(atoms, s))
+    weights = rng.dirichlet(np.ones(atoms))
+    weights /= weights.sum()
+    eta = None
+    if kind == "expected_excess":
+        centre_costs = _l1_cost(q, z - T @ np.full(n, 0.5))
+        cost_cap = float(np.maximum(q[:s], q[s:]) @ (1.0 + np.abs(T).sum(axis=1)))
+        eta = {"below": -rng.uniform(0.01, 1.0), "zero": 0.0,
+               "among": float(np.median(centre_costs)),
+               "above": cost_cap + rng.uniform(0.01, 1.0)}[eta_at]
+    risk = RiskSpec(kind, eta)
+    recourse = RecourseData(np.hstack([np.eye(s), -np.eye(s)]), q)
+    return TwoStageProblem(stage, recourse, DiscreteMeasure(z, weights), risk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), s=st.integers(1, 2), n=st.integers(1, 2),
+       atoms=st.integers(1, 8),
+       kind=st.sampled_from(["expectation", "expected_excess", "upper_semideviation"]),
+       eta_at=st.sampled_from(["below", "zero", "among", "above"]))
+def test_det_equivalent_matches_epigraph_oracle_and_closed_form(seed, s, n, atoms, kind, eta_at):
+    p = _random_det_eq_instance(seed, s, n, atoms, kind, eta_at)
+    fs, rd, mu = p.first_stage, p.recourse, p.measure
+    lp = build_deterministic_equivalent(p)
+    out = solve_lp(lp)
+    assert out.status == "optimal"
+    assert verify_optimality(lp, out) <= 1e-8
+    ref, _ = det_equivalent_epigraph(fs.T, fs.h, fs.A_X, fs.b_X, rd.W, rd.q,
+                                     mu.atoms, mu.weights, kind, p.risk.eta)
+    assert out.value == pytest.approx(ref, rel=1e-7, abs=1e-7)
+    layout = det_equivalent_layout(p)
+    x = out.x[layout["x"][0]:layout["x"][1]]
+    costs = _l1_cost(rd.q, mu.atoms - fs.T @ x)
+    closed = float(fs.h @ x) + _closed_form_risk(costs, mu.weights, kind, p.risk.eta)
+    assert out.value == pytest.approx(closed, rel=1e-7, abs=1e-7)
+    if kind == "upper_semideviation":
+        resolved = [solve_lp(recourse_lp(rd, zk - fs.T @ x)).value for zk in mu.atoms]
+        assert out.x[layout["t"]] == pytest.approx(float(mu.weights @ resolved), abs=1e-7)
 
 
 class TestSolve:
@@ -168,6 +240,47 @@ def test_feasible_box_reports_bounds(median_problem):
     assert hi == pytest.approx([1.0])
     fs = median_problem.first_stage
     assert np.max(fs.A_X @ feas - fs.b_X) <= 1e-9
+
+
+def test_feasible_box_solves_once_per_first_stage(monkeypatch):
+    fs = interval_stage(lo=0.2, hi=0.7)
+    calls = []
+    original = solver_module.solve_lp
+
+    def counting(lp, *args):
+        calls.append(lp)
+        return original(lp, *args)
+
+    monkeypatch.setattr(solver_module, "solve_lp", counting)
+    lo, hi, feas = feasible_box(fs)
+    assert len(calls) == 2 * fs.n
+    lo[:] = hi[:] = feas[:] = np.nan  # callers get copies
+    again = feasible_box(fs)
+    assert len(calls) == 2 * fs.n
+    assert again[0] == pytest.approx([0.2]) and again[1] == pytest.approx([0.7])
+    assert 0.2 - 1e-9 <= again[2][0] <= 0.7 + 1e-9
+    # a refusal is not cached: it is raised again on every call
+    empty = interval_stage(lo=1.0, hi=0.0)
+    for _ in range(2):
+        with pytest.raises(SolverError, match="empty"):
+            feasible_box(empty)
+
+
+def test_known_fan_is_not_enumerated_again(monkeypatch, rd_1d, nine_atoms):
+    fan = enumerate_dual_vertices(rd_1d)
+    fresh = TwoStageProblem(interval_stage(), rd_1d, nine_atoms, E)
+    given_fan = TwoStageProblem(interval_stage(), rd_1d, nine_atoms, E, fan)
+
+    def refuse(rd):
+        raise AssertionError("fan enumerated again")
+
+    monkeypatch.setattr(solver_module, "enumerate_dual_vertices", refuse)
+    assert given_fan.fan() is fan
+    with pytest.raises(AssertionError, match="again"):
+        fresh.fan()
+    other = RecourseData([[1.0, -1.0]], [2.0, 1.0])
+    with pytest.raises(ValueError, match="known_fan"):
+        TwoStageProblem(interval_stage(), other, nine_atoms, E, fan)
 
 
 def test_first_stage_validation():
