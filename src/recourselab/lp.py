@@ -1,9 +1,15 @@
 """Dense linear programming kernel.
 
 Revised primal simplex with Dantzig pricing that falls back to Bland's
-anti-cycling rule after a streak of degenerate pivots, phase-1 artificials
-for equality/>= rows. A >= row with b = 0 starts on its slack instead: it is
-negated into a <= row whose slack is basic at 0, so it needs no artificial.
+anti-cycling rule after a streak of degenerate pivots. A >= row with b = 0
+is negated into a <= row whose slack is basic at 0; the other == and >= rows
+would start on phase-1 artificials. Before that, a solve tries a crash basis
+(Bixby 1992): a lower-triangular basis of structural columns on those rows,
+plus columns that repair the <= rows they push below zero. When it
+refactors and is feasible, the solve goes straight to phase 2; when it does
+not exist by that rule, is singular or is infeasible, the solve starts from
+the slacks and artificials. Phase 1 runs only when an artificial is basic,
+so infeasibility is still classified by phase 1 alone.
 The dense basis inverse gets rank-1 updates on the support of the pivot row
 and is rebuilt every `refactor_every` pivots from a block-triangular split
 (single-nonzero columns on their own rows, a dense inverse for the rest),
@@ -150,49 +156,37 @@ class LpOutcome:
 
 # --- standard-form transformation -------------------------------------------
 
-_SHIFT = 0  # x = lb + xhat
-_NEG = 1  # x = ub - xhat
-_SPLIT = 2  # x = xplus - xminus
-
-
 def _transform(lp: LinearProgram):
-    """Rewrite variables to xhat >= 0; finite upper bounds become rows."""
+    """Rewrite variables to xhat >= 0; finite upper bounds become rows.
+
+    Returns Ahat, bhat, senses, chat, the original variable and sign of each
+    structural column (a free variable gets a +1 and a -1 column), the shift
+    x = shift + sign * xhat, and the structural column of each upper-bound
+    row, which follow the rows of A.
+    """
     n = lp.n
-    modes = []
-    cols = []  # (orig_j, sign) per structural column
-    shift = np.zeros(n)
-    ub_rows = []  # (column index into structural cols, rhs)
-    for j in range(n):
-        lo, hi = lp.lb[j], lp.ub[j]
-        if np.isfinite(lo):
-            modes.append((_SHIFT, len(cols)))
-            cols.append((j, 1.0))
-            shift[j] = lo
-            if np.isfinite(hi):
-                ub_rows.append((len(cols) - 1, hi - lo))
-        elif np.isfinite(hi):
-            modes.append((_NEG, len(cols)))
-            cols.append((j, -1.0))
-            shift[j] = hi
-        else:
-            modes.append((_SPLIT, len(cols)))
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
-    nhat = len(cols)
-    Ahat = np.zeros((lp.m + len(ub_rows), nhat))
-    for k, (j, sgn) in enumerate(cols):
-        Ahat[: lp.m, k] = sgn * lp.A[:, j]
-    bhat = np.concatenate([lp.b - lp.A @ shift, np.array([r for _, r in ub_rows])]) if ub_rows else lp.b - lp.A @ shift
-    senses = list(lp.senses)
-    ub_row_of_col = {}
-    for k, (col, rhs) in enumerate(ub_rows):
-        Ahat[lp.m + k, col] = 1.0
-        senses.append(LE)
-        ub_row_of_col[col] = lp.m + k
-    chat = np.array([sgn * lp.c[j] for j, sgn in cols])
+    has_lo = np.isfinite(lp.lb)
+    has_hi = np.isfinite(lp.ub)
+    split = ~has_lo & ~has_hi
+    width = np.where(split, 2, 1)
+    orig = np.repeat(np.arange(n), width)
+    first = np.cumsum(width) - width  # the first structural column of each variable
+    sign = np.ones(orig.size)
+    sign[first[has_hi & ~has_lo]] = -1.0  # bounded only above: x = ub - xhat
+    sign[first[split] + 1] = -1.0  # the negative part of a free variable
+    shift = np.where(has_lo, lp.lb, np.where(has_hi, lp.ub, 0.0))
+    ub_cols = first[has_lo & has_hi]
+    Ahat = np.zeros((lp.m + ub_cols.size, orig.size))
+    np.multiply(lp.A[:, orig], sign, out=Ahat[: lp.m])
+    Ahat[lp.m + np.arange(ub_cols.size), ub_cols] = 1.0
+    bhat = lp.b - lp.A @ shift
+    if ub_cols.size:
+        bhat = np.concatenate([bhat, (lp.ub - lp.lb)[has_lo & has_hi]])
+    senses = list(lp.senses) + [LE] * ub_cols.size
+    chat = lp.c[orig] * sign
     if lp.sense == MAX:
         chat = -chat
-    return Ahat, np.asarray(bhat, dtype=float), senses, chat, modes, cols, shift, ub_row_of_col
+    return Ahat, bhat, senses, chat, orig, sign, shift, ub_cols
 
 
 # --- simplex core ------------------------------------------------------------
@@ -375,7 +369,7 @@ class _Tableau:
 
 def solve_lp(lp: LinearProgram, options: SimplexOptions = DEFAULT_OPTIONS) -> LpOutcome:
     """Solve a dense LP; classifies optimal / infeasible / unbounded."""
-    Ahat, bhat, senses, chat, modes, cols, shift, ub_row_of_col = _transform(lp)
+    Ahat, bhat, senses, chat, orig, sign, shift, ub_cols = _transform(lp)
     mhat, nhat = Ahat.shape
 
     # rows with a negative right-hand side are negated, flipping <= and >=; so
@@ -402,14 +396,12 @@ def solve_lp(lp: LinearProgram, options: SimplexOptions = DEFAULT_OPTIONS) -> Lp
     basis = [art_cols.get(i, slack_cols.get(i, -1)) for i in range(mhat)]
     if any(k < 0 for k in basis):  # pragma: no cover - every row gets a column above
         raise LpNumericalError("internal: row without starting column")
-
-    tab = _Tableau(Afull, b, basis, options)
     is_artificial = np.zeros(ncols, dtype=bool)
-    for c in art_cols.values():
-        is_artificial[c] = True
+    is_artificial[nhat + len(slack_rows):] = True
+    tab = _start(Afull, b, nhat, basis, is_artificial, options)
 
-    # phase 1
-    if art_cols:
+    # phase 1, unless the crash basis left no artificial basic
+    if is_artificial[tab.basis].any():
         cost1 = np.zeros(ncols)
         cost1[is_artificial] = 1.0
         status = tab.run(cost1, ~is_artificial, is_artificial=is_artificial)
@@ -432,26 +424,99 @@ def solve_lp(lp: LinearProgram, options: SimplexOptions = DEFAULT_OPTIONS) -> Lp
     if tab.m:
         xhat[tab.basis] = tab.xB
     x = shift.copy()
-    for k, (j, sgn) in enumerate(cols):
-        x[j] += sgn * xhat[k]
+    np.add.at(x, orig, sign * xhat[:nhat])  # in column order, as x[j] += sign * xhat
     value = float(lp.c @ x)
 
     y_t = (cost2[tab.basis] @ tab.Binv) if tab.m else np.zeros(0)
-    y = np.array([row_sign[i] * y_t[i] for i in range(lp.m)]) if lp.m else np.zeros(0)
+    y = row_sign[: lp.m] * y_t[: lp.m]
     reduced = cost2 - (y_t @ Afull if tab.m else 0.0)
+    # a lower bound prices its shifted column, an upper bound alone its
+    # reflected column, and a finite upper bound above a finite lower one its row
+    has_lo = np.isfinite(lp.lb)[orig]
+    only_hi = np.isfinite(lp.ub)[orig] & ~has_lo
+    ub_rows = lp.m + np.arange(ub_cols.size)
     dual_lb = np.zeros(lp.n)
     dual_ub = np.zeros(lp.n)
-    for mode, k in modes:
-        j = cols[k][0]
-        if mode == _SHIFT:
-            dual_lb[j] = reduced[k]
-            row = ub_row_of_col.get(k)
-            if row is not None:
-                dual_ub[j] = -row_sign[row] * y_t[row]
-        elif mode == _NEG:
-            dual_ub[j] = reduced[k]
-    basic_orig = tuple(sorted({cols[k][0] for k in tab.basis if k < nhat}))
+    dual_lb[orig[has_lo]] = reduced[:nhat][has_lo]
+    dual_ub[orig[only_hi]] = reduced[:nhat][only_hi]
+    dual_ub[orig[ub_cols]] = -row_sign[ub_rows] * y_t[ub_rows]
+    basic_orig = tuple(sorted(set(orig[tab.basis[tab.basis < nhat]].tolist())))
     return LpOutcome("optimal", value, x, y, basic_orig, dual_lb, dual_ub, tab.iterations)
+
+
+# a crash column's entry must be at least this share of the largest structural
+# entry of its row, which keeps the triangular basis away from tiny pivots
+_CRASH_PIVOT_SHARE = 0.1
+
+
+def _crash(A: np.ndarray, b: np.ndarray, nhat: int, start: list[int],
+           is_artificial: np.ndarray) -> list[int] | None:
+    """A lower-triangular basis that puts structural columns on the rows
+    where `start` has an artificial, and on the slack rows those columns push
+    below zero; None when there is none by this rule.
+
+    A holds the rows normalized to b >= 0 and its first nhat columns are the
+    structural ones. First, in row order, each artificial row i takes a
+    column that is nonzero on it, zero on every row taken before, of the sign
+    of the residual r_i (so its basic value r_i / a_ij is >= 0) and at least
+    _CRASH_PIVOT_SHARE of the row's largest entry; among those the one with
+    the fewest nonzeros on the artificial rows still open, the lowest index on
+    ties. Then each slack row whose residual went negative takes the
+    lowest-index column that is negative on it, passes the same share, and is
+    zero on every artificial row and every row repaired before it. A row with
+    no such column, or a slack residual still negative at the end, gives None.
+    """
+    S = A[:, :nhat]
+    nonzero = S != 0.0
+    mag = np.abs(S)
+    usable = mag >= _CRASH_PIVOT_SHARE * mag.max(axis=1, initial=0.0)[:, None]
+    usable &= nonzero
+    positive = S > 0.0
+    art = is_artificial[start]
+    basis = list(start)
+    r = b.copy()
+    blocked = np.zeros(nhat, dtype=bool)  # nonzero on a row taken before
+    open_nonzeros = np.count_nonzero(nonzero[art], axis=0)
+
+    def take(i, j):
+        r[:] -= S[:, j] * (r[i] / S[i, j])
+        r[i] = 0.0
+        basis[i] = j
+        blocked[:] |= nonzero[i]
+
+    for i in np.flatnonzero(art):
+        cand = usable[i] & ~blocked
+        if r[i] != 0.0:
+            cand &= positive[i] == (r[i] > 0.0)
+        idx = np.flatnonzero(cand)
+        if idx.size == 0:
+            return None
+        take(i, int(idx[np.argmin(open_nonzeros[idx])]))
+        open_nonzeros -= nonzero[i]
+    # every artificial row is taken, so blocked now covers them all
+    for i in np.flatnonzero(~art):
+        if r[i] < 0.0:
+            idx = np.flatnonzero(usable[i] & ~blocked & ~positive[i])
+            if idx.size == 0:
+                return None
+            take(i, int(idx[0]))
+    return None if (r < 0.0).any() else basis
+
+
+def _start(A: np.ndarray, b: np.ndarray, nhat: int, start: list[int],
+           is_artificial: np.ndarray, options: SimplexOptions) -> _Tableau:
+    """The tableau on the crash basis when it refactors and is feasible,
+    otherwise on the slack-and-artificial start."""
+    crash = _crash(A, b, nhat, start, is_artificial)
+    if crash is not None:
+        try:
+            tab = _Tableau(A, b, crash, options)
+        except LpNumericalError:
+            pass
+        else:
+            if tab.xB.min(initial=0.0) >= -options.feas_tol:
+                return tab
+    return _Tableau(A, b, start, options)
 
 
 def _expel_artificials(tab: _Tableau, is_artificial: np.ndarray, opts: SimplexOptions):

@@ -203,49 +203,35 @@ def build_deterministic_equivalent(p: TwoStageProblem) -> LinearProgram:
     w_off = n + K * m
     t_off = w_off + n_w
 
-    rows = []
-    senses = []
-    rhs = []
     mx = fs.b_X.shape[0]
-    for i in range(mx):
-        row = np.zeros(ncols)
-        row[:n] = fs.A_X[i]
-        rows.append(row)
-        senses.append(LE)
-        rhs.append(fs.b_X[i])
-    for k in range(K):
-        for r in range(s):
-            row = np.zeros(ncols)
-            row[:n] = fs.T[r]
-            row[n + k * m: n + (k + 1) * m] = rd.W[r]
-            rows.append(row)
-            senses.append(EQ)
-            rhs.append(dm.atoms[k, r])
+    scen = mx + np.arange(K)[:, None, None] * s + np.arange(s)[None, :, None]  # row of (k, r)
+    ycol = n + np.arange(K)[:, None, None] * m + np.arange(m)  # column of y_k[j]
+    mean_row = mx + K * s
+    ex_row = mean_row + n_t + np.arange(n_w)
+    A = np.zeros((mx + K * s + n_t + n_w, ncols))
+    A[:mx, :n] = fs.A_X
+    A[mx: mean_row, :n] = np.tile(fs.T, (K, 1))
+    A[scen, ycol] = rd.W
+    senses = [LE] * mx + [EQ] * (K * s)
+    rhs = [fs.b_X, dm.atoms.reshape(-1)]
     if kind == UPPER_SEMIDEVIATION:
-        row = np.zeros(ncols)
-        row[t_off] = 1.0
-        for k in range(K):
-            row[n + k * m: n + (k + 1) * m] = -dm.weights[k] * rd.q
-        rows.append(row)
+        A[mean_row, t_off] = 1.0
+        A[mean_row, n: w_off] = (-dm.weights[:, None] * rd.q).reshape(-1)
         senses.append(EQ)
-        rhs.append(0.0)
+        rhs.append(np.zeros(1))
     if n_w:
         # w_k >= q.y_k, or v_k + t >= q.y_k for the semideviation
-        for k in range(K):
-            row = np.zeros(ncols)
-            row[w_off + k] = 1.0
-            if n_t:
-                row[t_off] = 1.0
-            row[n + k * m: n + (k + 1) * m] = -rd.q
-            rows.append(row)
-            senses.append(GE)
-            rhs.append(0.0)
+        A[ex_row, w_off + np.arange(K)] = 1.0
+        if n_t:
+            A[ex_row, t_off] = 1.0
+        A[ex_row[:, None, None], ycol] = -rd.q
+        senses += [GE] * K
+        rhs.append(np.zeros(K))
 
     c = np.zeros(ncols)
     c[:n] = fs.h
     if kind == EXPECTATION:
-        for k in range(K):
-            c[n + k * m: n + (k + 1) * m] = dm.weights[k] * rd.q
+        c[n: w_off] = (dm.weights[:, None] * rd.q).reshape(-1)
     else:
         c[w_off: w_off + K] = dm.weights
     if n_t:
@@ -260,7 +246,7 @@ def build_deterministic_equivalent(p: TwoStageProblem) -> LinearProgram:
         np.full(n_t, -np.inf),
     ])
     ub = np.full(ncols, np.inf)
-    return LinearProgram.minimize(c, np.array(rows), senses, np.array(rhs), lb=lb, ub=ub)
+    return LinearProgram.minimize(c, A, senses, np.concatenate(rhs), lb=lb, ub=ub)
 
 
 def det_equivalent_layout(p: TwoStageProblem) -> dict:

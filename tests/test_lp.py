@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from recourselab import lp as lp_module
 from recourselab.lp import (DEFAULT_OPTIONS, LinearProgram, LpInputError, LpNumericalError,
-                            SimplexOptions, _block_inverse, _Tableau, check_feasible,
+                            SimplexOptions, _block_inverse, _crash, _Tableau, check_feasible,
                             dual_objective, solve_lp, verify_optimality)
 from recourselab.measures import DiscreteMeasure
 from recourselab.risk import RiskSpec
@@ -198,6 +198,68 @@ def test_zero_rhs_ge_rows_need_no_phase_one():
     assert verify_optimality(lp, out) <= 1e-12
 
 
+def _block_angular(rng):
+    """Shared free columns and blocks of bounded >= 0 columns, as in a
+    scenario LP: per block, == rows over [T_k | W_k] with b of either sign,
+    then a >= row with b > 0 and a <= row with b < 0 over the block's columns.
+    W_k and the block rows are sparse and random. A random point satisfies
+    every row, so the LP is feasible, and the stacked T_k pin the free
+    columns, so it is bounded."""
+    n0 = int(rng.integers(1, 3))
+    blocks = int(rng.integers(1, 5))
+    widths = rng.integers(2, 5, size=blocks)
+    n = n0 + int(widths.sum())
+    x0 = np.concatenate([rng.normal(size=n0), rng.uniform(0.0, 2.0, size=n - n0)])
+    rows, senses, b = [], [], []
+    start = n0
+    for width in widths:
+        for sense in ["=="] * -(-n0 // blocks) + [">=", "<="]:
+            row = np.zeros(n)
+            if sense == "==":
+                row[:n0] = rng.normal(size=n0).round(2)
+            row[start: start + width] = rng.normal(size=width).round(2) * (rng.random(width) < 0.5)
+            value = row @ x0
+            if sense == ">=" and value < 0.0 or sense == "<=" and value > 0.0:
+                row, value = -row, -value
+            rows.append(row)
+            senses.append(sense)
+            b.append(value if sense == "==" else value * rng.uniform(0.2, 0.9))
+        start += width
+    lb = np.concatenate([np.full(n0, -np.inf), np.zeros(n - n0)])
+    ub = np.concatenate([np.full(n0, np.inf), x0[n0:] + rng.uniform(0.5, 2.0, size=n - n0)])
+    return LinearProgram.minimize(rng.normal(size=n).round(3), np.array(rows), senses,
+                                  np.array(b), lb=lb, ub=ub)
+
+
+def _phase_one_spy(mp):
+    """Patch _Tableau.run to record, per run, whether an artificial column is
+    basic when it starts."""
+    runs = []
+    original = _Tableau.run
+
+    def spy(self, cost, eligible, is_artificial=None):
+        runs.append(is_artificial is not None and bool(is_artificial[self.basis].any()))
+        return original(self, cost, eligible, is_artificial)
+
+    mp.setattr(_Tableau, "run", spy)
+    return runs
+
+
+def test_block_angular_lps_match_reference():
+    # a few of these LPs start on the crash basis; most find no triangular
+    # basis by its rule and go through phase 1
+    rng = np.random.default_rng(20261019)
+    crashed = 0
+    for _ in range(100):
+        lp = _block_angular(rng)
+        with pytest.MonkeyPatch.context() as mp:
+            runs = _phase_one_spy(mp)
+            out = solve_lp(lp)
+        crashed += not runs[0]
+        _assert_matches_reference(lp, out, 1e-7)
+    assert 0 < crashed < 100
+
+
 # Beale's LP: Dantzig pricing with lowest-index ties cycles on it forever
 BEALE = dict(c=[-0.75, 20.0, -0.5, 6.0],
              A=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
@@ -224,9 +286,10 @@ def test_pure_dantzig_cycles_on_beale(monkeypatch):
                                    test_status_classification_matches_reference,
                                    test_determinism_bit_for_bit,
                                    test_zero_rhs_ge_rows_match_reference,
-                                   test_zero_rhs_ge_rows_need_no_phase_one],
+                                   test_zero_rhs_ge_rows_need_no_phase_one,
+                                   test_block_angular_lps_match_reference],
                          ids=["strong-duality-bland", "status-bland", "determinism-bland",
-                              "zero-rhs-ge-bland", "no-phase-one-bland"])
+                              "zero-rhs-ge-bland", "no-phase-one-bland", "block-angular-bland"])
 def test_reference_checks_under_bland_pricing(check, monkeypatch):
     monkeypatch.setattr(lp_module, "DEGENERATE_STREAK", 0)
     check()
@@ -250,16 +313,21 @@ def test_refactor_every_pivot_on_random_lps():
         _assert_matches_reference(lp, solve_lp(lp, SimplexOptions(refactor_every=1)), 1e-7)
 
 
-def _semideviation_det_eq(seed=7, atoms=120):
+def _det_eq(risk, s=1, atoms=120, seed=7, lo=0.0):
+    """Det-eq LP over the box [lo, 1]^s with the L1 recourse W = [I, -I]."""
     rng = np.random.default_rng(seed)
-    q = rng.uniform(0.8, 1.2, size=2)
-    stage = FirstStage(T=[[1.0]], h=[rng.uniform(-0.1, 0.1)], H=None,
-                       A_X=[[1.0], [-1.0]], b_X=[1.0, 0.0])
+    q = rng.uniform(0.8, 1.2, size=2 * s)
+    eye = np.eye(s)
+    stage = FirstStage(T=eye, h=rng.uniform(-0.1, 0.1, size=s), H=None,
+                       A_X=np.vstack([eye, -eye]), b_X=np.r_[np.ones(s), np.zeros(s) - lo])
     weights = rng.dirichlet(np.full(atoms, 5.0))
-    mu = DiscreteMeasure(rng.uniform(size=(atoms, 1)), weights / weights.sum())
-    problem = TwoStageProblem(stage, RecourseData([[1.0, -1.0]], q), mu,
-                              RiskSpec.upper_semideviation())
+    mu = DiscreteMeasure(rng.uniform(size=(atoms, s)), weights / weights.sum())
+    problem = TwoStageProblem(stage, RecourseData(np.hstack([eye, -eye]), q), mu, risk)
     return build_deterministic_equivalent(problem)
+
+
+def _semideviation_det_eq(seed=7, atoms=120):
+    return _det_eq(RiskSpec.upper_semideviation(), atoms=atoms, seed=seed)
 
 
 def test_refactor_every_pivot_on_det_equivalent_lp():
@@ -268,6 +336,54 @@ def test_refactor_every_pivot_on_det_equivalent_lp():
     out = solve_lp(lp, SimplexOptions(refactor_every=1))
     _assert_matches_reference(lp, out, 1e-9)
     assert out.value == pytest.approx(solve_lp(lp).value, rel=1e-9)
+
+
+# every det-eq shape the crash basis covers: one y column per scenario row,
+# t on the mean row, w_k on the excess rows of b > 0 (eta < 0) or v_k / w_k
+# on the excess rows whose slack it would leave negative, and x on a first
+# stage row x >= lo > 0, after which some scenario rows need a y- column
+DET_EQ_CASES = {
+    "dp-1d": (RiskSpec.upper_semideviation(), 1, 120),
+    "ee-1d-negative-eta": (RiskSpec.expected_excess(-0.3), 1, 60),
+    "ee-2d": (RiskSpec.expected_excess(0.45), 2, 40),
+    "e-2d": (RiskSpec.expectation(), 2, 30),
+    "dp-1d-lo": (RiskSpec.upper_semideviation(), 1, 60, 11, 0.3),
+}
+
+
+@pytest.mark.parametrize("case", DET_EQ_CASES.values(), ids=DET_EQ_CASES.keys())
+def test_det_equivalent_lps_start_on_the_crash_basis(case, monkeypatch):
+    lp = _det_eq(*case)
+    runs = _phase_one_spy(monkeypatch)
+    out = solve_lp(lp)
+    assert runs == [False]  # one run, phase 2, from a basis with no artificial
+    _assert_matches_reference(lp, out, 1e-9)
+
+
+def _singular_crash(A, b, nhat, start, is_artificial):
+    return [0] * len(start)
+
+
+def _crash_without_repairs(A, b, nhat, start, is_artificial):
+    """The crash basis with the slacks put back on the rows it repaired, so
+    those slacks are basic at a negative value."""
+    basis = _crash(A, b, nhat, start, is_artificial)
+    repaired = [i for i, k in enumerate(start) if not is_artificial[k] and basis[i] != k]
+    assert repaired
+    for i in repaired:
+        basis[i] = start[i]
+    return basis
+
+
+@pytest.mark.parametrize("bad_crash", [_singular_crash, _crash_without_repairs],
+                         ids=["singular", "negative-basic-value"])
+def test_refused_crash_basis_falls_back_to_phase_one(bad_crash, monkeypatch):
+    lp = _det_eq(RiskSpec.upper_semideviation(), atoms=40)
+    monkeypatch.setattr(lp_module, "_crash", bad_crash)
+    runs = _phase_one_spy(monkeypatch)
+    out = solve_lp(lp)
+    assert runs == [True, False]  # phase 1 from the slack-and-artificial start, then phase 2
+    _assert_matches_reference(lp, out, 1e-9)
 
 
 def _mixed_basis(rng, m, k):
