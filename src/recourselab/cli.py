@@ -52,7 +52,6 @@ class RunConfig:
     eta_grid: str | None = None
     tol: float = 1e-6
     max_iters: int = 20000
-    kappa: float = 0.0
     plans: str | None = None
     x: str | None = None
 
@@ -112,9 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve the two-stage problem")
     common(p_solve)
     p_solve.add_argument("--tol", type=float, default=1e-6)
-    p_solve.add_argument("--max-iters", type=int, default=20000)
+    p_solve.add_argument("--max-iters", type=int, default=20000,
+                         help="cut budget of the cutting-plane path")
     p_solve.add_argument("--kappa", type=float, default=0.0,
-                         help="certified modulus of the full objective (subgradient path)")
+                         help="accepted and ignored: the cutting-plane path needs no modulus")
 
     p_stab = sub.add_parser("stability", help="perturb, re-solve, record distances")
     common(p_stab)
@@ -185,8 +185,7 @@ def cmd_certify(args) -> int:
 def cmd_solve(args) -> int:
     bundle, fan = _load(args)
     problem = bundle.two_stage(fan)
-    options = SolveOptions(tol=args.tol, max_iters=args.max_iters, kappa=args.kappa,
-                           resolution=args.resolution)
+    options = SolveOptions(tol=args.tol, max_iters=args.max_iters, resolution=args.resolution)
     result = solve_two_stage(problem, options)
     payload = {
         "x_star": result.x_star.tolist(),

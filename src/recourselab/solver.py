@@ -5,10 +5,10 @@ single deterministic-equivalent LP: scenario copies of the recourse
 program plus one variable per scenario for the excess/semideviation
 objectives, w_k >= eta as a bound for the expected excess and
 v_k = w_k - t >= 0 for the semideviation, so each scenario adds one row.
-With a PSD quadratic cost it runs projected subgradient descent with
-diminishing steps; projections onto the feasible polyhedron use a small
-active-set QP. A brute-force grid oracle over the feasible box provides
-an independent low-dimensional check.
+Every other solve (a PSD quadratic cost, or a box measure) runs Kelley's
+cutting-plane method on the exact value and subgradient of the full
+objective, and stops on a certified gap. A brute-force grid oracle over
+the feasible box provides an independent low-dimensional check.
 """
 
 from __future__ import annotations
@@ -127,18 +127,19 @@ class TwoStageProblem:
 class ArgminResult:
     x_star: np.ndarray
     value: float
-    path: str  # "det-equivalent" | "subgradient" | "grid-oracle"
+    path: str  # "det-equivalent" | "cutting-plane" | "grid-oracle"
     log: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     tol: float = 1e-6
-    max_iters: int = 20000
-    step_scale: float = 1.0
-    kappa: float = 0.0  # certified modulus of the full objective, 0 = unknown
-    check_every: int = 50
+    max_iters: int = 20000  # cuts of the cutting-plane path
     resolution: int | None = None
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 def feasible_box(fs: FirstStage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,7 +179,7 @@ def _scenario_blocks(p: TwoStageProblem):
     if not isinstance(p.measure, DiscreteMeasure):
         raise SolverError("deterministic equivalent needs a finitely supported measure")
     if fs.has_quadratic:
-        raise SolverError("quadratic first-stage cost: use the subgradient path")
+        raise SolverError("quadratic first-stage cost: use the cutting-plane path")
     return fs, rd, p.measure
 
 
@@ -269,16 +270,16 @@ def det_equivalent_layout(p: TwoStageProblem) -> dict:
 def solve_two_stage(p: TwoStageProblem, options: SolveOptions | None = None) -> ArgminResult:
     """Minimize the first-stage objective over X.
 
-    Zero quadratic cost: exact via the deterministic equivalent.
-    PSD quadratic cost: projected subgradient with steps a/(k+1); when a
-    certified modulus kappa > 0 of the full objective is supplied, the
-    run stops once the subgradient-based optimality certificate
-    (minimizing the supporting quadratic over X) is below tol, and fails
-    if the certificate never gets there.
+    Zero quadratic cost and a finitely supported measure: exact via the
+    deterministic equivalent. Otherwise Kelley's cutting-plane method from
+    a feasible point of X: it stops once the best value is within tol of
+    the cutting-plane lower bound, reported as "gap_certificate", and
+    raises SolverError carrying the best point if max_iters cuts do not
+    get there.
     """
     options = options or SolveOptions()
     fs = p.first_stage
-    lo, hi, feas = feasible_box(fs)
+    _, _, feas = feasible_box(fs)
     if not fs.has_quadratic and isinstance(p.measure, DiscreteMeasure):
         lp = build_deterministic_equivalent(p)
         out = solve_lp(lp)
@@ -288,7 +289,7 @@ def solve_two_stage(p: TwoStageProblem, options: SolveOptions | None = None) -> 
         _assert_feasible(fs, x)
         return ArgminResult(x, float(out.value), "det-equivalent",
                             {"lp_iterations": out.iterations, "lp_columns": lp.n})
-    return _projected_subgradient(p, feas, options)
+    return _cutting_plane(p, feas, options)
 
 
 def _assert_feasible(fs: FirstStage, x: np.ndarray):
@@ -313,86 +314,54 @@ def _objective(p: TwoStageProblem, options: SolveOptions):
     return evaluate
 
 
-def _projected_subgradient(p: TwoStageProblem, x0: np.ndarray,
-                           options: SolveOptions) -> ArgminResult:
+def _cutting_plane(p: TwoStageProblem, x0: np.ndarray, options: SolveOptions) -> ArgminResult:
+    """Kelley's method, the single-cut L-shaped method: each iterate x_i adds
+    the cut f_i + g_i.(v - x_i) <= f(v), and the next iterate minimizes the
+    max of the cuts over X. The master LP
+        min theta  s.t.  g_i.v - theta <= g_i.x_i - f_i,  A_X v <= b_X
+    is solved as its dual
+        min r.lam + b_X.mu  s.t.  sum lam = 1,  G^T lam + A_X^T mu = 0,  lam, mu >= 0
+    with r_i = g_i.x_i - f_i. It has n + 1 rows however many cuts there are;
+    minus its value bounds the optimum from below (weak duality), and its row
+    duals are (-theta, v). The run stops once the best value is within tol
+    of that bound."""
     fs = p.first_stage
+    n, mx = fs.n, fs.b_X.shape[0]
     evaluate = _objective(p, options)
-    proj = PolyhedralProjector(fs.A_X, fs.b_X, x0)
-    x = proj(x0)
-    val, g = evaluate(x)
-    best_x, best_val, best_g = x, val, g
-    cuts: list[tuple[float, np.ndarray, np.ndarray]] = []
-    cert = np.inf
-    iters = 0
-    for k in range(options.max_iters):
-        iters = k + 1
-        x = proj(x - options.step_scale / (k + 1.0) * g)
+    mu_cols = np.vstack([np.zeros((1, mx)), fs.A_X.T])
+    rhs = np.zeros(n + 1)
+    rhs[0] = 1.0
+    cut_cols: list[np.ndarray] = []
+    cut_costs: list[float] = []
+    best_x, best_val = x0, np.inf
+    x, gap, pivots = x0, np.inf, 0
+    for cuts in range(1, options.max_iters + 1):
         val, g = evaluate(x)
         if val < best_val:
-            best_val, best_x, best_g = val, x, g
-        if options.kappa > 0 and (k + 1) % options.check_every == 0:
-            cuts.append((best_val, best_g, best_x))
-            cuts.append((val, g, x))
-            lower = max(
-                best_val - _quadratic_bound(best_x, best_g, proj, options.kappa),
-                _cutting_plane_lower_bound(fs, cuts),
-            )
-            cert = max(best_val - lower, 0.0)
-            if cert <= options.tol:
-                break
-    # no certificate without a modulus, or before the first check
-    result = ArgminResult(best_x, best_val, "subgradient",
-                          {"iterations": iters,
-                           "gap_certificate": float(cert) if np.isfinite(cert) else None})
-    if options.kappa > 0 and cert > options.tol:
-        raise SolverError(
-            f"subgradient certificate {cert:.2e} above tol after {iters} iterations",
-            best=result)
+            best_x, best_val = x, val
+        cut_cols.append(np.concatenate([[1.0], g]))
+        cut_costs.append(float(g @ x) - val)
+        lp = LinearProgram.minimize(np.concatenate([cut_costs, fs.b_X]),
+                                    np.hstack([np.array(cut_cols).T, mu_cols]),
+                                    [EQ] * (n + 1), rhs)
+        out = solve_lp(lp)
+        if out.status != "optimal":  # pragma: no cover - X bounded, so the dual is feasible
+            raise SolverError(f"cutting-plane master terminated with status {out.status}")
+        pivots += out.iterations
+        gap = max(best_val + out.value, 0.0)
+        if gap <= options.tol:
+            break
+        x = out.y[1:]
+    result = ArgminResult(best_x, best_val, "cutting-plane",
+                          {"iterations": cuts, "master_pivots": pivots,
+                           "gap_certificate": gap})
+    if gap > options.tol:
+        raise SolverError(f"cutting-plane gap {gap:.2e} above tol after {cuts} cuts", best=result)
     _assert_feasible(fs, best_x)
     return result
 
 
-def _quadratic_bound(x, g, proj, kappa: float) -> float:
-    """Gap bound from a single subgradient of a kappa-strongly-convex
-    objective: minimize the supporting quadratic g.(v-x) + kappa/2 |v-x|^2
-    over the feasible set; its negative bounds f(x) - f*."""
-    v = proj(x - g / kappa)
-    bound = float(g @ (v - x)) + 0.5 * kappa * float(np.sum((v - x) ** 2))
-    return max(-bound, 0.0)
-
-
-_MAX_CUTS = 120
-
-
-def _cutting_plane_lower_bound(fs: FirstStage, cuts) -> float:
-    """min over X of the max of collected subgradient cuts: a valid lower
-    bound on the optimum that stays tight at kinks, where the single-point
-    quadratic bound is loose."""
-    recent = cuts[-_MAX_CUTS:]
-    n = fs.n
-    rows = []
-    rhs = []
-    for fval, g, xk in recent:
-        row = np.zeros(n + 1)
-        row[:n] = g
-        row[n] = -1.0
-        rows.append(row)  # g.v - t <= g.x_k - f_k
-        rhs.append(float(g @ xk) - fval)
-    for i in range(fs.b_X.shape[0]):
-        row = np.zeros(n + 1)
-        row[:n] = fs.A_X[i]
-        rows.append(row)
-        rhs.append(fs.b_X[i])
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    lp = LinearProgram.minimize(c, np.array(rows), [LE] * len(rows), np.array(rhs),
-                                lb=np.full(n + 1, -np.inf), ub=np.full(n + 1, np.inf))
-    out = solve_lp(lp)
-    if out.status != "optimal":  # pragma: no cover - X bounded, cuts bound t below
-        return -np.inf
-    return float(out.value)
-
-
+# unused PolyhedralProjector: perfbench/spans.py rebinds its __call__ at install
 class PolyhedralProjector:
     """Euclidean projection onto {x : A x <= b} by a primal active-set QP.
 

@@ -245,7 +245,7 @@ def test_criterion_08_solver_vs_oracle(bench):
     t0 = time.perf_counter()
     worst_gap = 0.0
     for label, problem, quad in _regression_instances(bench):
-        opts = SolveOptions(kappa=2.0, tol=2e-4, max_iters=40000) if quad else SolveOptions()
+        opts = SolveOptions(tol=2e-4, max_iters=40000) if quad else SolveOptions()
         res = solve_two_stage(problem, opts)
         oracle = grid_search_oracle(problem, 1e-4)
         gap = abs(res.value - oracle.value)

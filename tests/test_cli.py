@@ -158,9 +158,9 @@ def test_solve_enumerates_the_fan_once(bench_file, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "enumerate_dual_vertices", counting)
     monkeypatch.setattr(solver, "enumerate_dual_vertices", counting)
     out = tmp_path / "solve.json"
-    # the subgradient path builds its objective from the fan the CLI loaded
+    # the cutting-plane path builds its objective from the fan the CLI loaded
     assert main(["solve", "--problem", bench_file, "--max-iters", "20", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["path"] == "subgradient"
+    assert json.loads(out.read_text())["path"] == "cutting-plane"
     assert len(calls) == 1
 
 
@@ -235,8 +235,43 @@ def test_eval_is_byte_identical_for_any_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_uncertified_solve_writes_strict_json(bench_file, tmp_path):
-    # kappa = 0 on a box measure: the subgradient path computes no gap certificate
+_L1_2D = {"W": [[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]], "q": [1.0, 1.2, 0.9, 1.1]}
+_BOX_2D_X = {"A": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], "b": [0.8, 0.8, -0.2, -0.2]}
+
+
+@pytest.mark.parametrize("problem,flags", [
+    ({"first_stage": {"T": [[1.0, 0.0], [0.0, 1.0]], "h": [0.0, 0.0], "X": _BOX_2D_X},
+      "recourse": _L1_2D,
+      "measure": {"type": "uniform_box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+      "risk": {"kind": "upper_semideviation"}}, ["--resolution", "50", "--kappa", "0"]),
+    ({"first_stage": {"T": [[1.0, 0.0], [0.0, 1.0]], "h": [0.1, -0.2],
+                      "H": [[0.8, 0.2], [0.2, 0.5]], "X": _BOX_2D_X},
+      "recourse": _L1_2D,
+      "measure": {"type": "discrete",
+                  "atoms": [[(7 * k % 19) / 19.0, (11 * k % 23) / 23.0] for k in range(40)],
+                  "weights": [1.0 / 40.0] * 40},
+      "risk": {"kind": "expected_excess", "eta": 0.5}}, ["--tol", "1e-8"]),
+], ids=["box-kappa-0", "quadratic"])
+def test_cutting_plane_solve_is_byte_identical_for_any_blas_thread_count(tmp_path, problem, flags):
+    import os
+    import subprocess
+    import sys
+
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(problem))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "recourselab.cli", "solve", "--problem", str(path)]
+                              + flags, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert json.loads(outputs[0])["path"] == "cutting-plane"
+    assert outputs[0] == outputs[1]
+
+
+def test_box_solve_writes_certified_strict_json(bench_file, tmp_path):
+    # no modulus on a box measure: the cutting-plane path certifies its own gap
     out = tmp_path / "solve.json"
     assert main(["solve", "--problem", bench_file, "--max-iters", "100", "--out", str(out)]) == 0
 
@@ -244,5 +279,6 @@ def test_uncertified_solve_writes_strict_json(bench_file, tmp_path):
         raise ValueError(f"not RFC 8259 JSON: {token}")
 
     payload = json.loads(out.read_text(), parse_constant=reject)
-    assert payload["path"] == "subgradient"
-    assert payload["log"]["gap_certificate"] is None
+    assert payload["path"] == "cutting-plane"
+    gap = payload["log"]["gap_certificate"]
+    assert isinstance(gap, float) and 0.0 <= gap <= 1e-6

@@ -131,7 +131,7 @@ def test_box_discretized_once_per_objective(monkeypatch, fan_2d, box_2d, rd_2d):
                        A_X=np.vstack([np.eye(2), -np.eye(2)]), b_X=[0.8, 0.8, -0.2, -0.2])
     res = solve_two_stage(TwoStageProblem(stage, rd_2d, box_2d, DP),
                           SolveOptions(max_iters=30, resolution=20))
-    assert res.log["iterations"] == 30
+    assert res.path == "cutting-plane" and res.log["iterations"] > 1
     assert len(calls) == 1
 
 

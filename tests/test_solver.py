@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,7 +64,7 @@ class TestDetEquivalent:
 
     def test_rejects_quadratic_and_continuous(self, rd_1d, nine_atoms, box_1d):
         p = TwoStageProblem(interval_stage(H=[[1.0]]), rd_1d, nine_atoms, E)
-        with pytest.raises(SolverError, match="subgradient"):
+        with pytest.raises(SolverError, match="cutting-plane"):
             build_deterministic_equivalent(p)
         p2 = TwoStageProblem(interval_stage(), rd_1d, box_1d, E)
         with pytest.raises(SolverError, match="finitely supported"):
@@ -135,6 +137,52 @@ def test_det_equivalent_matches_epigraph_oracle_and_closed_form(seed, s, n, atom
         assert out.x[layout["t"]] == pytest.approx(float(mu.weights @ resolved), abs=1e-7)
 
 
+_RISK_KINDS = ["expectation", "expected_excess", "upper_semideviation"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31), s=st.integers(1, 2), n=st.integers(1, 2),
+       atoms=st.integers(1, 8), kind=st.sampled_from(_RISK_KINDS),
+       eta_at=st.sampled_from(["below", "zero", "among", "above"]))
+def test_cutting_plane_brackets_the_det_equivalent_optimum(seed, s, n, atoms, kind, eta_at):
+    p = _random_det_eq_instance(seed, s, n, atoms, kind, eta_at)
+    best = solve_two_stage(p)
+    assert best.path == "det-equivalent"
+    res = solver_module._cutting_plane(p, feasible_box(p.first_stage)[2], SolveOptions())
+    gap = res.log["gap_certificate"]
+    assert res.path == "cutting-plane" and 0.0 <= gap <= 1e-6
+    assert best.value <= res.value + 1e-9
+    assert res.value - gap <= best.value + 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31), s=st.integers(1, 2), n=st.integers(1, 2),
+       atoms=st.integers(1, 8), kind=st.sampled_from(_RISK_KINDS),
+       eta_at=st.sampled_from(["below", "zero", "among", "above"]))
+def test_quadratic_cutting_plane_matches_grid_oracle(seed, s, n, atoms, kind, eta_at):
+    p = _random_det_eq_instance(seed, s, n, atoms, kind, eta_at)
+    M = np.random.default_rng(seed + 1).uniform(-1.0, 1.0, size=(n, n))
+    fs = dataclasses.replace(p.first_stage, H=M @ M.T)
+    p = dataclasses.replace(p, first_stage=fs)
+    res = solve_two_stage(p)
+    gap = res.log["gap_certificate"]
+    assert res.path == "cutting-plane" and 0.0 <= gap <= 1e-6
+    x = res.x_star
+    direct = eval_q(p.fan(), p.measure, p.risk, fs.T @ x) + float(fs.h @ x + x @ fs.H @ x)
+    assert res.value == pytest.approx(direct, abs=1e-12)
+    # on X = [0, 1]^n every point lies within step/2 per axis of a grid
+    # point, and |df/dx_j| <= |h_j| + c (|T|^T max(q+, q-))_j + 2 (|H| 1)_j,
+    # where c = 3 for the semideviation (its excess term adds up to 2) and 1 otherwise
+    step = 1e-3 if n == 1 else 1e-2
+    oracle = grid_search_oracle(p, step)
+    q = p.recourse.q
+    c = 3.0 if kind == "upper_semideviation" else 1.0
+    lip = np.abs(fs.h) + c * np.abs(fs.T).T @ np.maximum(q[:s], q[s:]) + 2.0 * np.abs(fs.H).sum(axis=1)
+    slack = float(lip.sum()) * step / 2.0
+    assert res.value - gap <= oracle.value + 1e-9
+    assert oracle.value <= res.value + slack + 1e-9
+
+
 class TestSolve:
     def test_median_instance(self, median_problem):
         res = solve_two_stage(median_problem)
@@ -180,26 +228,28 @@ class TestSolve:
 class TestSubgradient:
     def test_quadratic_cost_matches_oracle(self, rd_1d, nine_atoms):
         p = TwoStageProblem(interval_stage(H=[[1.0]]), rd_1d, nine_atoms, E)
-        res = solve_two_stage(p, SolveOptions(kappa=2.0, tol=1e-7, max_iters=40000))
-        assert res.path == "subgradient"
+        res = solve_two_stage(p, SolveOptions(tol=1e-7))
+        assert res.path == "cutting-plane"
+        assert res.log["gap_certificate"] <= 1e-7
         oracle = grid_search_oracle(p, 1e-4)
         assert abs(res.value - oracle.value) <= 1e-3
 
     def test_certificate_failure_carries_best_iterate(self, rd_1d, nine_atoms):
         p = TwoStageProblem(interval_stage(H=[[1.0]]), rd_1d, nine_atoms, E)
         with pytest.raises(SolverError) as err:
-            solve_two_stage(p, SolveOptions(kappa=2.0, tol=1e-12, max_iters=60))
+            solve_two_stage(p, SolveOptions(tol=1e-12, max_iters=3))
         assert err.value.best is not None
         assert err.value.best.x_star.shape == (1,)
+        with pytest.raises(ValueError, match="max_iters"):
+            SolveOptions(max_iters=0)
 
     def test_zero_recourse_contribution_quadratic_minimum(self, rd_1d):
         # single atom at the quadratic minimizer: both cost pieces vanish
-        # there, and the minimizer sits at a kink where progress per step
-        # is O(1/k), so the certificate tolerance is sized to the budget
+        # there, and the minimizer sits at a kink of the recourse cost
         fs = FirstStage(T=[[1.0]], h=[0.0], H=[[1.0]],
                         A_X=[[1.0], [-1.0]], b_X=[1.0, 1.0])
         p = TwoStageProblem(fs, rd_1d, DiscreteMeasure.point_mass([0.0]), E)
-        res = solve_two_stage(p, SolveOptions(kappa=2.0, tol=2e-4, max_iters=40000))
+        res = solve_two_stage(p, SolveOptions(tol=2e-4))
         oracle = grid_search_oracle(p, 1e-4)
         assert abs(res.value - oracle.value) <= 1e-3
         assert abs(res.x_star[0]) <= 1e-3

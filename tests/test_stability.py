@@ -96,14 +96,12 @@ class TestExperiment:
     def test_certified_singleton_across_solver_paths(self, rd_1d, box_1d):
         # under a certified positive modulus the minimizer is unique, so
         # independent solve paths must land on the same point
-        from recourselab.solver import FirstStage, solve_two_stage
+        from recourselab.solver import FirstStage, grid_search_oracle, solve_two_stage
 
         fs = FirstStage(T=[[1.0]], h=[0.0], H=None, A_X=[[1.0], [-1.0]], b_X=[1.0, 0.0])
         p = TwoStageProblem(fs, rd_1d, box_1d, RiskSpec.expectation())
-        a = solve_two_stage(p, SolveOptions(kappa=2.0, tol=1e-8, max_iters=60000,
-                                            step_scale=1.0))
-        b = solve_two_stage(p, SolveOptions(kappa=2.0, tol=1e-8, max_iters=60000,
-                                            step_scale=0.5))
+        a = solve_two_stage(p, SolveOptions(tol=1e-8))
+        b = grid_search_oracle(p, 1e-4)
         assert np.linalg.norm(a.x_star - b.x_star) <= 1e-5
         assert np.linalg.norm(a.x_star - 0.5) <= 1e-5
 
